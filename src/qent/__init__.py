@@ -70,7 +70,6 @@ from .qstate import (
     SchmidtSpectrum,
     apply_local_unitary,
     density_of,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     load_state,
     make_pure,

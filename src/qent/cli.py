@@ -4,18 +4,14 @@ Subcommands: measure, invariants, family, verify, random.  Exit codes:
 0 on success, 1 when a verification suite reports failures, 2 on
 malformed input or configuration.  Values print with 12 significant
 digits; CSV output keeps full precision (17 significant digits).
-The ENTANGLE_THREADS environment variable caps suite parallelism.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import io
-import os
 import sys
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import InputError, QentError
 from .families import (
@@ -34,22 +30,18 @@ from .measures import (
     two_tangle,
     wootters_concurrence,
 )
-from .qstate import DensityMatrix, PureState, load_state, save_state, state_to_json
-from .verify import SuiteConfig, random_mixed, random_pure, run_suite
+from .qstate import (
+    DensityMatrix,
+    PureState,
+    density_of,
+    load_state,
+    save_state,
+    state_to_json,
+)
+from .verify import CSV_HEADER, SuiteConfig, random_mixed, random_pure, run_suite
 
 DISPLAY = ".12g"
 CSV_PRECISION = ".17g"
-
-CSV_HEADER = [
-    "relation",
-    "state_descriptor",
-    "lhs",
-    "rhs",
-    "residual",
-    "tolerance",
-    "verdict",
-    "condition_note",
-]
 
 MEASURE_CHOICES = (
     "kme",
@@ -104,9 +96,7 @@ def _resolve_state(args):
 def _as_density(state) -> DensityMatrix:
     if isinstance(state, DensityMatrix):
         return state
-    return DensityMatrix(
-        np.outer(state.amplitudes, state.amplitudes.conj()), state.num_sites
-    )
+    return density_of(state)
 
 
 def _require_pure(state, what: str) -> PureState:
@@ -301,14 +291,7 @@ def _cmd_verify(args) -> int:
             families.append(args.grid_family)
             r7["families"] = families
         config = SuiteConfig(seed=config.seed, relations=relations)
-    workers = None
-    env = os.environ.get("ENTANGLE_THREADS")
-    if env:
-        try:
-            workers = max(1, int(env))
-        except ValueError as exc:
-            raise InputError(f"ENTANGLE_THREADS={env!r} is not an integer") from exc
-    report = run_suite(config, max_workers=workers)
+    report = run_suite(config)
     print(report.to_text(), end="")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

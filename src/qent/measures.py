@@ -2,9 +2,9 @@
 
 For a pure state and a k-partition A_1|...|A_k the k-ME concurrence
 candidate value is sqrt(2/k * sum_t (1 - Tr rho_{A_t}^2)); the measure
-is the minimum over all k-partitions.  Negativity of site p is the
-trace norm of the partial transpose minus one, divided by d_p - 1
-(identically minus twice the sum of negative transposed eigenvalues).
+is the minimum over all k-partitions.  Negativity of qubit p is the
+trace norm of the partial transpose minus one (identically minus twice
+the sum of negative transposed eigenvalues).
 """
 from __future__ import annotations
 
@@ -54,14 +54,13 @@ class MeasureReport:
 
 @dataclass(frozen=True)
 class NegativityProfile:
-    """Per-site negativities N^0..N^{n-1} of one state."""
+    """Per-site negativities N^0..N^{n-1} of one qubit state."""
 
     per_site: tuple[float, ...]
-    local_dims: tuple[int, ...]
 
     def __post_init__(self):
-        for v, d in zip(self.per_site, self.local_dims):
-            if d == 2 and not -1e-9 <= v <= 1.0 + 1e-9:
+        for v in self.per_site:
+            if not -1e-9 <= v <= 1.0 + 1e-9:
                 raise ValueError(f"qubit negativity {v} outside [0, 1]")
 
 
@@ -79,27 +78,21 @@ def linear_entropy_pure(psi: PureState, block: Union[int, Iterable[int]]) -> flo
     return float(2.0 * np.dot(lam[:-1], tail[1:]))
 
 
-def negativity(rho: DensityMatrix, site: int, local_dim: int = 2) -> float:
-    """Negativity of one site against the rest.
+def negativity(rho: DensityMatrix, site: int) -> float:
+    """Negativity of one qubit against the rest.
 
-    Equals (||rho^{T_site}||_1 - 1) / (local_dim - 1); computed from the
-    negative eigenvalues of the partial transpose, with eigenvalues
-    above -1e-12 treated as zero.
+    Equals ||rho^{T_site}||_1 - 1; computed from the negative eigenvalues
+    of the partial transpose, with eigenvalues above -1e-12 treated as
+    zero.
     """
-    if local_dim < 2:
-        raise OutOfRange(f"local_dim must be >= 2, got {local_dim}")
     ev = hermitian_eigenvalues(partial_transpose(rho, site))
     neg = ev[ev <= NEGATIVE_EIGENVALUE_FLOOR]
-    return float(-2.0 * neg.sum() / (local_dim - 1)) + 0.0
+    return float(-2.0 * neg.sum()) + 0.0
 
 
 def negativity_profile(rho: DensityMatrix) -> NegativityProfile:
     """Negativity of every site of rho (qubit normalization)."""
-    n = rho.num_sites
-    return NegativityProfile(
-        per_site=tuple(negativity(rho, p) for p in range(n)),
-        local_dims=(2,) * n,
-    )
+    return NegativityProfile(tuple(negativity(rho, p) for p in range(rho.num_sites)))
 
 
 def bipartite_concurrence_pure(psi: PureState, side_a: Union[int, Iterable[int]]) -> float:

@@ -12,6 +12,7 @@ is safe.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -79,6 +80,8 @@ class PureState:
             raise DimensionMismatch(
                 f"amplitude vector of length {amps.size} does not match {n} qubits"
             )
+        if not np.isfinite(amps).all():
+            raise InputError("amplitudes contain non-finite values (NaN or Inf)")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise InputError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -107,6 +110,8 @@ class DensityMatrix:
             raise DimensionMismatch(f"num_sites must be >= 1, got {n}")
         if m.ndim != 2 or m.shape != (2**n, 2**n):
             raise DimensionMismatch(f"matrix shape {m.shape} does not match {n} qubits")
+        if not np.isfinite(m).all():
+            raise InputError("matrix contains non-finite values (NaN or Inf)")
         herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > HERMITICITY_TOL:
             raise NotHermitian(f"Hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL}")
@@ -131,6 +136,8 @@ class SchmidtSpectrum:
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
+        if not all(math.isfinite(c) for c in coeffs):
+            raise InputError(f"non-finite Schmidt weight in {coeffs}")
         if any(c < -NORM_TOL for c in coeffs):
             raise InputError(f"negative Schmidt weight in {coeffs}")
         if abs(sum(coeffs) - 1.0) > NORM_TOL:
@@ -253,17 +260,6 @@ def hermitian_eigenvalues(m: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     if resid > SPECTRAL_TOL:
         raise NotHermitian(f"Hermiticity residual {resid:.3e} exceeds {SPECTRAL_TOL}")
     return np.linalg.eigvalsh(a)
-
-
-def hermitian_eigensystem(
-    m: Union[DensityMatrix, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix."""
-    a = m.entries if isinstance(m, DensityMatrix) else np.asarray(m, dtype=complex)
-    resid = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if resid > SPECTRAL_TOL:
-        raise NotHermitian(f"Hermiticity residual {resid:.3e} exceeds {SPECTRAL_TOL}")
-    return np.linalg.eigh(a)
 
 
 def apply_local_unitary(psi: PureState, site: int, u: np.ndarray) -> PureState:

@@ -1,10 +1,11 @@
 """Relation-verification harness.
 
-Each RelationId names one quantitative relation among the measures;
-check() evaluates it on one input and returns one result row per
-sub-relation.  run_suite() drives a configurable batch over fixed
-anchor states plus seeded random families and aggregates a
-deterministic report.
+Each RelationId names one quantitative relation among the measures and
+maps to one checker in _CHECKERS; _run_case() is the only dispatch.
+check() evaluates one relation on one input and returns one result row
+per sub-relation.  run_suite() drives a configurable batch over fixed
+anchor states plus seeded random families through the same dispatch,
+serially, and aggregates a deterministic report.
 
 Relations:
     R1  pure n-qubit identity: C_n-ME equals the negativity quadratic mean
@@ -23,7 +24,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -67,6 +67,7 @@ from .qstate import (
     DensityMatrix,
     PureState,
     clamped_sqrt,
+    density_of,
     hermitian_eigenvalues,
     partial_transpose_sites,
     purity,
@@ -82,6 +83,18 @@ VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_INEQ = "inequality-satisfied"
 VERDICT_SKIP = "skip"
+
+# columns of the report CSV, shared with `qent measure --csv`
+CSV_HEADER = [
+    "relation",
+    "state_descriptor",
+    "lhs",
+    "rhs",
+    "residual",
+    "tolerance",
+    "verdict",
+    "condition_note",
+]
 
 
 class RelationId(str, Enum):
@@ -200,30 +213,39 @@ def _row(
     )
 
 
-def _check_r1(psi: PureState, tol: Optional[float], desc: str):
-    t = TOL_EQUALITY if tol is None else tol
-    n = psi.num_sites
-    lhs = kme_concurrence_pure(psi, n).value
-    rhs = nme_lower_bound(_density(psi))
-    return [_row(RelationId.R1, desc, lhs, rhs, t)]
+def _expect_pure(payload, n: Optional[int]):
+    if not isinstance(payload, PureState):
+        raise IncompatibleInput(f"expected a PureState, got {type(payload).__name__}")
+    if n is not None and payload.num_sites != n:
+        raise IncompatibleInput(f"expected {n} sites, got {payload.num_sites}")
 
 
-def _density(psi: PureState) -> DensityMatrix:
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.num_sites)
+# Every checker takes (payload, tol, desc, tangle_tol) with both tolerances
+# already resolved by _run_case, validates its own payload and raises
+# IncompatibleInput on a mismatch.
 
 
-def _check_r2(ens: Ensemble, tol: Optional[float], desc: str):
-    t = TOL_EQUALITY if tol is None else tol
+def _check_r1(psi: PureState, tol: float, desc: str, tangle_tol: float):
+    _expect_pure(psi, None)
+    lhs = kme_concurrence_pure(psi, psi.num_sites).value
+    rhs = nme_lower_bound(density_of(psi))
+    return [_row(RelationId.R1, desc, lhs, rhs, tol)]
+
+
+def _check_r2(ens: Ensemble, tol: float, desc: str, tangle_tol: float):
+    if not isinstance(ens, Ensemble):
+        raise IncompatibleInput("R2 expects an Ensemble")
     n = ens.num_sites
     lhs = sum(
         p * kme_concurrence_pure(psi, n).value for p, psi in zip(ens.weights, ens.states)
     )
     rhs = nme_lower_bound(ens.density())
-    return [_row(RelationId.R2, desc, lhs, rhs, t, inequality=True)]
+    return [_row(RelationId.R2, desc, lhs, rhs, tol, inequality=True)]
 
 
-def _check_r3(payload: tuple[int, float], tol: Optional[float], desc: str):
-    t = TOL_EQUALITY if tol is None else tol
+def _check_r3(payload: tuple[int, float], tol: float, desc: str, tangle_tol: float):
+    if not (isinstance(payload, tuple) and len(payload) == 2):
+        raise IncompatibleInput("R3 expects (n, t)")
     n, tvis = int(payload[0]), float(payload[1])
     rho = ghz_noise(n, tvis)
     rows = [
@@ -232,7 +254,7 @@ def _check_r3(payload: tuple[int, float], tol: Optional[float], desc: str):
             f"{desc} | exact n-ME value",
             ghz_noise_nme_exact(n, tvis),
             nme_lower_bound(rho),
-            t,
+            tol,
         )
     ]
     pred = ghz_noise_negativity(n, tvis)
@@ -243,37 +265,36 @@ def _check_r3(payload: tuple[int, float], tol: Optional[float], desc: str):
                 f"{desc} | negativity site {p}",
                 pred,
                 negativity(rho, p),
-                t,
+                tol,
             )
         )
     return rows
 
 
-def _check_r4(psi: PureState, tol: Optional[float], desc: str):
-    t = TOL_EQUALITY if tol is None else tol
-    prof = negativity_profile(_density(psi)).per_site
+def _check_r4(psi: PureState, tol: float, desc: str, tangle_tol: float):
+    _expect_pure(psi, 3)
+    prof = negativity_profile(density_of(psi)).per_site
     rows = [
         _row(
             RelationId.R4,
             f"{desc} | C2 = min N",
             kme_concurrence_pure(psi, 2).value,
             min(prof),
-            t,
+            tol,
         ),
         _row(
             RelationId.R4,
             f"{desc} | C3 = rms N",
             kme_concurrence_pure(psi, 3).value,
             float(np.sqrt(sum(v * v for v in prof) / 3.0)),
-            t,
+            tol,
         ),
     ]
     return rows
 
 
-def _check_r5(psi: PureState, tol: Optional[float], desc: str, tangle_tol=None):
-    teq = TOL_EQUALITY if tol is None else tol
-    ttan = (TOL_TANGLE if tangle_tol is None else tangle_tol) if tol is None else tol
+def _check_r5(psi: PureState, tol: float, desc: str, tangle_tol: float):
+    _expect_pure(psi, 3)
     inv = invariants3(psi)
     c2i, c3i = kme_from_invariants3(inv)
     c2d = kme_concurrence_pure(psi, 2).value
@@ -283,21 +304,23 @@ def _check_r5(psi: PureState, tol: Optional[float], desc: str, tangle_tol=None):
     pairs = ((0, 1), (0, 2), (1, 2))
     names = ("tau_AB", "tau_AC", "tau_BC")
     rows = [
-        _row(RelationId.R5, f"{desc} | C2 via invariants", c2i, c2d, teq),
-        _row(RelationId.R5, f"{desc} | C3 via invariants", c3i, c3d, teq),
+        _row(RelationId.R5, f"{desc} | C2 via invariants", c2i, c2d, tol),
+        _row(RelationId.R5, f"{desc} | C3 via invariants", c3i, c3d, tol),
     ]
     direct_tangles = []
     for (i, j), name, lhs in zip(pairs, names, pred):
         rhs = two_tangle(DensityMatrix(reduced_density_pure(psi, (i, j)), 2))
         direct_tangles.append(rhs)
-        rows.append(_row(RelationId.R5, f"{desc} | {name} via invariants", lhs, rhs, ttan))
+        rows.append(
+            _row(RelationId.R5, f"{desc} | {name} via invariants", lhs, rhs, tangle_tol)
+        )
     c3_tangle = clamped_sqrt(2.0 / 3.0 * sum(direct_tangles) + tau3)
-    rows.append(_row(RelationId.R5, f"{desc} | C3 via tangles", c3_tangle, c3d, ttan))
+    rows.append(_row(RelationId.R5, f"{desc} | C3 via tangles", c3_tangle, c3d, tangle_tol))
     return rows
 
 
-def _check_r6(psi: PureState, tol: Optional[float], desc: str):
-    t = TOL_EQUALITY if tol is None else tol
+def _check_r6(psi: PureState, tol: float, desc: str, tangle_tol: float):
+    _expect_pure(psi, 4)
     c2i, c3i, c4i = kme_from_invariants4(invariants4(psi))
     rows = []
     for k, inv_val in ((2, c2i), (3, c3i), (4, c4i)):
@@ -307,28 +330,24 @@ def _check_r6(psi: PureState, tol: Optional[float], desc: str):
                 f"{desc} | C{k} via invariants",
                 inv_val,
                 kme_concurrence_pure(psi, k).value,
-                t,
+                tol,
             )
         )
     return rows
 
 
-def _check_r7(params: FamilyParams, tol: Optional[float], desc: str):
-    t = TOL_FAMILY if tol is None else tol
+def _check_r7(params: FamilyParams, tol: float, desc: str, tangle_tol: float):
+    if not isinstance(params, FamilyParams):
+        raise IncompatibleInput("R7 expects FamilyParams")
     psi = slocc_family(params)
     pred = family_closed_forms(params)
-    rho = _density(psi)
+    rho = density_of(psi)
     direct_neg = tuple(negativity(rho, p) for p in range(4))
+    direct_kme = {k: kme_concurrence_pure(psi, k).value for k in (2, 3, 4)}
     rows = []
     for k, closed in ((2, pred.c2), (3, pred.c3), (4, pred.c4)):
         rows.append(
-            _row(
-                RelationId.R7,
-                f"{desc} | C{k} closed form",
-                closed,
-                kme_concurrence_pure(psi, k).value,
-                t,
-            )
+            _row(RelationId.R7, f"{desc} | C{k} closed form", closed, direct_kme[k], tol)
         )
     for p in range(4):
         rows.append(
@@ -337,15 +356,15 @@ def _check_r7(params: FamilyParams, tol: Optional[float], desc: str):
                 f"{desc} | N site {p} closed form",
                 pred.negativities[p],
                 direct_neg[p],
-                t,
+                tol,
             )
         )
-    c2_direct = kme_concurrence_pure(psi, 2).value
+    c2_direct = direct_kme[2]
     min_n = min(direct_neg)
     desc_min = f"{desc} | C2 = min N"
     if pred.c2_min_negativity == "fails":
         note = f"condition violated (margin={pred.condition_margin:.6g}); equality not predicted"
-        if abs(c2_direct - min_n) <= t:
+        if abs(c2_direct - min_n) <= tol:
             note += "; equality holds anyway"
         rows.append(
             RelationCheckResult(
@@ -354,7 +373,7 @@ def _check_r7(params: FamilyParams, tol: Optional[float], desc: str):
                 lhs=float(c2_direct),
                 rhs=float(min_n),
                 residual=abs(c2_direct - min_n),
-                tolerance=float(t),
+                tolerance=float(tol),
                 verdict=VERDICT_SKIP,
                 condition_note=note,
             )
@@ -365,17 +384,16 @@ def _check_r7(params: FamilyParams, tol: Optional[float], desc: str):
             if pred.c2_min_negativity == "holds"
             else f"condition satisfied (margin={pred.condition_margin:.6g})"
         )
-        rows.append(_row(RelationId.R7, desc_min, c2_direct, min_n, t, note=note))
+        rows.append(_row(RelationId.R7, desc_min, c2_direct, min_n, tol, note=note))
     return rows
 
 
-def _check_r8(payload, tol: Optional[float], desc: str, tangle_tol=None):
+def _check_r8(payload, tol: float, desc: str, tangle_tol: float):
     if not isinstance(payload, tuple) or len(payload) != 2:
         raise IncompatibleInput("R8 payload must be ('w_kme', n) or ('w_two_tangle', coeffs)")
     kind, arg = payload
     rows = []
     if kind == "w_kme":
-        t = TOL_EQUALITY if tol is None else tol
         n = int(arg)
         psi = w(n)
         for k in range(2, n + 1):
@@ -385,12 +403,11 @@ def _check_r8(payload, tol: Optional[float], desc: str, tangle_tol=None):
                     f"{desc} | k={k}",
                     w_kme_closed_form(n, k),
                     kme_concurrence_pure(psi, k).value,
-                    t,
+                    tol,
                 )
             )
         return rows
     if kind == "w_two_tangle":
-        tt = (TOL_TANGLE if tangle_tol is None else tangle_tol) if tol is None else tol
         coeffs = np.asarray(arg, dtype=complex).ravel()
         n = coeffs.size
         psi = w_class(coeffs)
@@ -403,15 +420,14 @@ def _check_r8(payload, tol: Optional[float], desc: str, tangle_tol=None):
                         f"{desc} | pair ({i},{j})",
                         w_two_tangle(coeffs, i, j),
                         two_tangle(red),
-                        tt,
+                        tangle_tol,
                     )
                 )
         return rows
     raise IncompatibleInput(f"unknown R8 payload kind {kind!r}")
 
 
-def _check_r9(payload, tol: Optional[float], desc: str):
-    t = TOL_EQUALITY if tol is None else tol
+def _check_r9(payload, tol: float, desc: str, tangle_tol: float):
     if not isinstance(payload, tuple) or len(payload) != 2:
         raise IncompatibleInput("R9 payload must be (PureState, side_a)")
     psi, side = payload
@@ -426,7 +442,35 @@ def _check_r9(payload, tol: Optional[float], desc: str):
     ev = hermitian_eigenvalues(partial_transpose_sites(rho, side, psi.num_sites))
     lhs = float(np.abs(ev).sum() - 1.0)
     rhs = clamped_sqrt(2.0 * (1.0 - purity(reduced_density_pure(psi, side))))
-    return [_row(RelationId.R9, desc, lhs, rhs, t, note=f"schmidt rank {rank}")]
+    return [_row(RelationId.R9, desc, lhs, rhs, tol, note=f"schmidt rank {rank}")]
+
+
+# relation -> (checker, default tolerance of its non-tangle rows)
+_CHECKERS: dict[RelationId, tuple[Callable, float]] = {
+    RelationId.R1: (_check_r1, TOL_EQUALITY),
+    RelationId.R2: (_check_r2, TOL_EQUALITY),
+    RelationId.R3: (_check_r3, TOL_EQUALITY),
+    RelationId.R4: (_check_r4, TOL_EQUALITY),
+    RelationId.R5: (_check_r5, TOL_EQUALITY),
+    RelationId.R6: (_check_r6, TOL_EQUALITY),
+    RelationId.R7: (_check_r7, TOL_FAMILY),
+    RelationId.R8: (_check_r8, TOL_EQUALITY),
+    RelationId.R9: (_check_r9, TOL_EQUALITY),
+}
+
+
+def _run_case(case) -> list[RelationCheckResult]:
+    """Run one (relation, payload, descriptor, tol, tangle_tol) case.
+
+    Tangle rows (R5 two-tangles and C3 via tangles, R8 pair tangles) use
+    tangle_tol if given, else tol, else TOL_TANGLE.  Every other row uses
+    tol if given, else the relation's default.
+    """
+    rel, payload, desc, tol, tangle_tol = case
+    checker, default_tol = _CHECKERS[rel]
+    if tangle_tol is None:
+        tangle_tol = TOL_TANGLE if tol is None else tol
+    return checker(payload, default_tol if tol is None else tol, desc, tangle_tol)
 
 
 def check(
@@ -434,41 +478,7 @@ def check(
 ) -> list[RelationCheckResult]:
     """Evaluate one relation on one input; returns one row per sub-relation."""
     rel = RelationId(relation)
-    desc = _describe_payload(rel, payload)
-    if rel is RelationId.R1:
-        _expect_pure(payload, None)
-        return _check_r1(payload, tol, desc)
-    if rel is RelationId.R2:
-        if not isinstance(payload, Ensemble):
-            raise IncompatibleInput("R2 expects an Ensemble")
-        return _check_r2(payload, tol, desc)
-    if rel is RelationId.R3:
-        if not (isinstance(payload, tuple) and len(payload) == 2):
-            raise IncompatibleInput("R3 expects (n, t)")
-        return _check_r3(payload, tol, desc)
-    if rel is RelationId.R4:
-        _expect_pure(payload, 3)
-        return _check_r4(payload, tol, desc)
-    if rel is RelationId.R5:
-        _expect_pure(payload, 3)
-        return _check_r5(payload, tol, desc)
-    if rel is RelationId.R6:
-        _expect_pure(payload, 4)
-        return _check_r6(payload, tol, desc)
-    if rel is RelationId.R7:
-        if not isinstance(payload, FamilyParams):
-            raise IncompatibleInput("R7 expects FamilyParams")
-        return _check_r7(payload, tol, desc)
-    if rel is RelationId.R8:
-        return _check_r8(payload, tol, desc)
-    return _check_r9(payload, tol, desc)
-
-
-def _expect_pure(payload, n: Optional[int]):
-    if not isinstance(payload, PureState):
-        raise IncompatibleInput(f"expected a PureState, got {type(payload).__name__}")
-    if n is not None and payload.num_sites != n:
-        raise IncompatibleInput(f"expected {n} sites, got {payload.num_sites}")
+    return _run_case((rel, payload, _describe_payload(rel, payload), tol, None))
 
 
 def _describe_payload(rel: RelationId, payload) -> str:
@@ -603,68 +613,46 @@ def _suite_cases(config: SuiteConfig):
         rel = RelationId(name)
         tol = spec.get("tolerance")
         ttol = spec.get("tangle_tolerance")
+
+        def add(payload, desc: str):
+            cases.append((rel, payload, desc, tol, ttol))
+
         if rel is RelationId.R1:
-            cases.append((rel, slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)", tol, None))
-            cases.append((rel, ghz(4), "ghz n=4", tol, None))
+            add(slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)")
+            add(ghz(4), "ghz n=4")
             for n in spec["sizes"]:
                 for i in range(spec["samples"]):
-                    s = seed_for(1, n * 1000 + i)
-                    cases.append(
-                        (rel, random_pure(n, s), f"random n={n} #{i:03d}", tol, None)
-                    )
+                    add(random_pure(n, seed_for(1, n * 1000 + i)), f"random n={n} #{i:03d}")
         elif rel is RelationId.R2:
             gn, gt = 3, 0.6
             basis = np.eye(2**gn, dtype=complex)
             states = [ghz(gn)] + [PureState(basis[z], gn) for z in range(2**gn)]
             weights = [gt] + [(1 - gt) / 2**gn] * 2**gn
-            cases.append(
-                (
-                    rel,
-                    Ensemble(tuple(weights), tuple(states)),
-                    f"ghz_noise ensemble n={gn} t={gt}",
-                    tol,
-                    None,
-                )
-            )
+            add(Ensemble(tuple(weights), tuple(states)), f"ghz_noise ensemble n={gn} t={gt}")
             for n in spec["sizes"]:
                 for rank in spec["ranks"]:
                     for i in range(spec["samples"]):
                         s = seed_for(2, n * 10000 + rank * 100 + i)
-                        cases.append(
-                            (
-                                rel,
-                                random_ensemble(n, rank, s),
-                                f"random n={n} rank={rank} #{i:03d}",
-                                tol,
-                                None,
-                            )
-                        )
+                        add(random_ensemble(n, rank, s), f"random n={n} rank={rank} #{i:03d}")
         elif rel is RelationId.R3:
             for n in spec["sizes"]:
                 lo = ghz_noise_threshold(n)
                 for i, tvis in enumerate(np.linspace(lo, 1.0, spec["t_points"])):
-                    cases.append(
-                        (rel, (n, float(tvis)), f"grid n={n} #{i:02d}", tol, None)
-                    )
+                    add((n, float(tvis)), f"grid n={n} #{i:02d}")
                 rng = np.random.default_rng(seed_for(3, n))
                 for i in range(spec["random_t"]):
-                    tvis = float(rng.uniform(lo, 1.0))
-                    cases.append(
-                        (rel, (n, tvis), f"random-t n={n} #{i:02d}", tol, None)
-                    )
+                    add((n, float(rng.uniform(lo, 1.0))), f"random-t n={n} #{i:02d}")
         elif rel in (RelationId.R4, RelationId.R5):
             rel_no = 4 if rel is RelationId.R4 else 5
-            cases.append((rel, ghz(3), "ghz n=3", tol, ttol))
-            cases.append((rel, w(3), "w n=3", tol, ttol))
+            add(ghz(3), "ghz n=3")
+            add(w(3), "w n=3")
             for i in range(spec["samples"]):
-                s = seed_for(rel_no, i)
-                cases.append((rel, random_pure(3, s), f"random n=3 #{i:03d}", tol, ttol))
+                add(random_pure(3, seed_for(rel_no, i)), f"random n=3 #{i:03d}")
         elif rel is RelationId.R6:
-            cases.append((rel, slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)", tol, None))
-            cases.append((rel, slocc_family(FamilyParams(7)), "family L_0(5+3)", tol, None))
+            add(slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)")
+            add(slocc_family(FamilyParams(7)), "family L_0(5+3)")
             for i in range(spec["samples"]):
-                s = seed_for(6, i)
-                cases.append((rel, random_pure(4, s), f"random n=4 #{i:03d}", tol, None))
+                add(random_pure(4, seed_for(6, i)), f"random n=4 #{i:03d}")
         elif rel is RelationId.R7:
             grids = spec.get("grids") or {}
             if not isinstance(grids, dict):
@@ -679,53 +667,30 @@ def _suite_cases(config: SuiteConfig):
                     else default_parameter_grid(fam)
                 )
                 for i, params in enumerate(points):
-                    cases.append(
-                        (rel, params, f"family {fam} grid #{i:02d}", tol, None)
-                    )
+                    add(params, f"family {fam} grid #{i:02d}")
                 rng = np.random.default_rng(seed_for(7, fam))
                 nparams = FAMILY_PARAM_COUNTS[fam]
                 for i in range(spec["random_points"] if nparams else 0):
                     vals = rng.uniform(-1.2, 1.2, size=(4, 2))
                     args = [complex(re, im) for re, im in vals][:nparams]
-                    cases.append(
-                        (
-                            rel,
-                            FamilyParams(fam, *args),
-                            f"family {fam} random #{i:02d}",
-                            tol,
-                            None,
-                        )
-                    )
+                    add(FamilyParams(fam, *args), f"family {fam} random #{i:02d}")
         elif rel is RelationId.R8:
             for n in spec["sizes"]:
-                cases.append((rel, ("w_kme", n), f"w n={n}", tol, ttol))
-            cases.append(
-                (rel, ("w_two_tangle", np.ones(3) / np.sqrt(3)), "uniform w n=3", tol, ttol)
-            )
+                add(("w_kme", n), f"w n={n}")
+            add(("w_two_tangle", np.ones(3) / np.sqrt(3)), "uniform w n=3")
             for i in range(spec["samples"]):
                 n = [3, 4, 5, 6][i % 4]
                 rng = np.random.default_rng(seed_for(8, i))
                 coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
                 coeffs /= np.linalg.norm(coeffs)
-                cases.append(
-                    (rel, ("w_two_tangle", coeffs), f"random coeffs n={n} #{i:03d}", tol, ttol)
-                )
+                add(("w_two_tangle", coeffs), f"random coeffs n={n} #{i:03d}")
         elif rel is RelationId.R9:
             bell = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), 2)
-            cases.append((rel, (bell, (0,)), "bell cut 1|1", tol, None))
+            add((bell, (0,)), "bell cut 1|1")
             for ci, (na, nb) in enumerate(spec["cuts"]):
                 for i in range(spec["samples"]):
-                    s = seed_for(9, ci * 1000 + i)
-                    psi = _random_rank2(int(na), int(nb), s)
-                    cases.append(
-                        (
-                            rel,
-                            (psi, tuple(range(int(na)))),
-                            f"rank2 cut {na}|{nb} #{i:03d}",
-                            tol,
-                            None,
-                        )
-                    )
+                    psi = _random_rank2(int(na), int(nb), seed_for(9, ci * 1000 + i))
+                    add((psi, tuple(range(int(na)))), f"rank2 cut {na}|{nb} #{i:03d}")
     return cases
 
 
@@ -740,24 +705,6 @@ def _random_rank2(na: int, nb: int, seed: int) -> PureState:
         qa[:, 1], qb[:, 1]
     )
     return PureState(v / np.linalg.norm(v), na + nb)
-
-
-def _run_case(case) -> list[RelationCheckResult]:
-    rel, payload, desc, tol, ttol = case
-    if rel is RelationId.R5:
-        return _check_r5(payload, tol, desc, tangle_tol=ttol)
-    if rel is RelationId.R8:
-        return _check_r8(payload, tol, desc, tangle_tol=ttol)
-    dispatch: dict[RelationId, Callable] = {
-        RelationId.R1: _check_r1,
-        RelationId.R2: _check_r2,
-        RelationId.R3: _check_r3,
-        RelationId.R4: _check_r4,
-        RelationId.R6: _check_r6,
-        RelationId.R7: _check_r7,
-        RelationId.R9: _check_r9,
-    }
-    return dispatch[rel](payload, tol, desc)
 
 
 @dataclass(frozen=True)
@@ -821,18 +768,7 @@ class SuiteReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "relation",
-                "state_descriptor",
-                "lhs",
-                "rhs",
-                "residual",
-                "tolerance",
-                "verdict",
-                "condition_note",
-            ]
-        )
+        writer.writerow(CSV_HEADER)
         for r in self.results:
             writer.writerow(
                 [
@@ -849,18 +785,12 @@ class SuiteReport:
         return buf.getvalue()
 
 
-def run_suite(config: SuiteConfig, max_workers: Optional[int] = None) -> SuiteReport:
+def run_suite(config: SuiteConfig) -> SuiteReport:
     """Run every configured relation check and aggregate a sorted report.
 
     Results are sorted by (relation, state descriptor), so reports are
-    byte-identical for identical configs regardless of worker count.
+    byte-identical for identical configs.
     """
-    cases = _suite_cases(config)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = list(pool.map(_run_case, cases))
-    else:
-        chunks = [_run_case(c) for c in cases]
-    results = [r for chunk in chunks for r in chunk]
+    results = [r for case in _suite_cases(config) for r in _run_case(case)]
     results.sort(key=lambda r: (r.relation.value, r.state_descriptor))
     return SuiteReport(tuple(results))

@@ -61,10 +61,6 @@ class TestNegativity:
                     negativity(rho, p) - negativity_trace_norm(rho.entries, p, n)
                 ) <= 1e-9
 
-    def test_general_dim_normalization(self):
-        rho = density_of(BELL)
-        assert negativity(rho, 0, local_dim=3) == pytest.approx(0.5)
-
 
 class TestBipartiteConcurrence:
     def test_ghz3(self):

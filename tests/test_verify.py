@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,10 @@ from qent import (
     random_pure,
     run_suite,
     slocc_family,
+)
+
+REFERENCE_CSV = (
+    Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "suite_seed7.csv"
 )
 
 
@@ -175,12 +181,6 @@ class TestRunSuite:
         assert a.to_csv() == b.to_csv()
         assert a.to_text() == b.to_text()
 
-    def test_parallel_matches_serial(self):
-        config = SuiteConfig(seed=5, relations={"R5": {"samples": 6}, "R6": {"samples": 6}})
-        serial = run_suite(config)
-        threaded = run_suite(config, max_workers=4)
-        assert serial.to_csv() == threaded.to_csv()
-
     def test_absurd_tolerance_reports_failures(self):
         config = SuiteConfig(
             seed=7, relations={"R5": {"samples": 4, "tolerance": 1e-17}}
@@ -190,6 +190,28 @@ class TestRunSuite:
         assert report.failures
         text = report.to_text()
         assert "failures:" in text
+
+    def test_tangle_tolerance_overrides_tolerance(self):
+        config = SuiteConfig(
+            seed=7,
+            relations={
+                "R5": {"samples": 4, "tolerance": 1e-17, "tangle_tolerance": 1e-6},
+                "R8": {"samples": 4, "tolerance": 1e-17, "tangle_tolerance": 1e-6},
+            },
+        )
+        rows = run_suite(config).results
+        is_tangle = [
+            "tau_" in r.state_descriptor
+            or "via tangles" in r.state_descriptor
+            or "pair (" in r.state_descriptor
+            for r in rows
+        ]
+        tangle = [r for r, t in zip(rows, is_tangle) if t]
+        other = [r for r, t in zip(rows, is_tangle) if not t]
+        # R5: 6 states x 4 tangle rows; R8: pairs of W n=3 and of random n=3..6
+        assert len(tangle) == 6 * 4 + 3 + (3 + 6 + 10 + 15)
+        assert all(r.tolerance == 1e-6 and r.verdict == "pass" for r in tangle)
+        assert other and all(r.tolerance == 1e-17 for r in other)
 
     def test_report_sorted(self):
         config = SuiteConfig(seed=2, relations={"R1": {"sizes": [2], "samples": 3}})
@@ -236,6 +258,24 @@ class TestRunSuite:
             )
             with pytest.raises(ConfigError):
                 run_suite(config)
+
+
+class TestBehaviourReference:
+    def test_default_suite_matches_committed_reference(self):
+        """The default seed-7 suite reproduces the committed reference rows:
+        descriptors and verdicts exactly, lhs/rhs within 1e-12."""
+        with REFERENCE_CSV.open(newline="", encoding="utf-8") as fh:
+            expected = list(csv.DictReader(fh))
+        got = run_suite(SuiteConfig.default(7)).results
+        assert len(got) == len(expected)
+        for row, ref in zip(got, expected):
+            assert (row.relation.value, row.state_descriptor, row.verdict) == (
+                ref["relation"],
+                ref["state_descriptor"],
+                ref["verdict"],
+            )
+            assert abs(row.lhs - float(ref["lhs"])) <= 1e-12, row.state_descriptor
+            assert abs(row.rhs - float(ref["rhs"])) <= 1e-12, row.state_descriptor
 
 
 class TestEnsembleType:
