@@ -13,6 +13,7 @@ from typing import Iterable, Iterator
 
 from .errors import NotProperSubset, OutOfRange
 
+# largest n that k_partitions enumerates and kme_concurrence_pure accepts
 MAX_SITES = 14
 
 

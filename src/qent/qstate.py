@@ -7,13 +7,15 @@ sum_i q_i * 2^(n-1-i).  Letter labels map as A=0, B=1, C=2, D=3.
 A subsystem set is any iterable of distinct site indices; it is
 canonicalized to a sorted tuple.  All types are immutable after
 construction and every operation is a pure function, so concurrent use
-is safe.
+is safe.  A PureState memoizes quantities derived from its amplitudes
+(the cut-entropy table of measures.kme_concurrence_pure); filling the
+memo twice writes the same values, so it needs no lock.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -69,6 +71,8 @@ class PureState:
 
     amplitudes: np.ndarray
     num_sites: int
+    # derived quantities keyed by name; not part of the state's identity
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amps = _frozen_array(self.amplitudes)

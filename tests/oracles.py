@@ -2,10 +2,14 @@
 
 These deliberately use different algorithms from the package: element
 recursion instead of restricted-growth strings, explicit bit-index
-summation instead of tensor reshapes, and the trace-norm route for
-negativity instead of the negative-eigenvalue sum.
+summation instead of tensor reshapes, the trace-norm route for
+negativity instead of the negative-eigenvalue sum, and an exhaustive
+partition scan instead of the subset DP behind the k-ME concurrence.
 """
 import numpy as np
+
+from qent import linear_entropy_pure
+from qent.qstate import clamped_sqrt
 
 
 def stirling2(n: int, k: int) -> int:
@@ -86,6 +90,25 @@ def kme_brute(psi: np.ndarray, n: int, k: int) -> float:
         if best is None or val < best:
             best = val
     return best
+
+
+def kme_scan(psi, k: int):
+    """(value, blocks) of the k-ME concurrence by scanning every k-partition.
+
+    Each partition from k_partitions_brute is put in canonical form
+    (sorted blocks ordered by their smallest site), its block linear
+    entropies are summed left to right and the sum goes through
+    clamped_sqrt(2 s / k).  Among exactly equal values the smallest
+    blocks tuple wins.
+    """
+    scan = []
+    for part in k_partitions_brute(psi.num_sites, k):
+        blocks = tuple(sorted((tuple(sorted(b)) for b in part), key=lambda b: b[0]))
+        s = 0.0
+        for b in blocks:  # not sum(): Python 3.12+ compensates float sums
+            s += linear_entropy_pure(psi, b)
+        scan.append((clamped_sqrt(2.0 * s / k), blocks))
+    return min(scan)
 
 
 def wootters_brute(rho: np.ndarray) -> float:

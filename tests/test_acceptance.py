@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines as they complete.
 """
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from oracles import random_state_vector, stirling2
 
+import qent
 from qent import (
     DensityMatrix,
     FamilyParams,
@@ -264,6 +266,10 @@ def test_criterion_9_schmidt_rank2():
 
 
 def test_criterion_10_cli_determinism(tmp_path):
+    # the CLI subprocess imports the same qent as this test, also from a checkout
+    src = os.path.dirname(os.path.dirname(qent.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
     with criterion(10, "verify --default --seed 7 twice: byte-identical CSV"):
         csvs = []
         for name in ("a.csv", "b.csv"):
@@ -282,6 +288,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                 ],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stdout + proc.stderr
             assert "0 failures" in proc.stdout

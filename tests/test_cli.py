@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qent import make_pure, state_to_json
+from qent import PureState, make_pure, state_to_json
 from qent.cli import main
 
 
@@ -75,6 +75,14 @@ class TestMeasureCommand:
         amps = [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
         bad.write_text(json.dumps({"kind": "pure", "num_sites": 2, "amplitudes": amps}))
         assert main(["measure", "--state", str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_kme_above_site_cap_exits_2(self, tmp_path, capsys):
+        product = np.zeros(2**15, dtype=complex)
+        product[0] = 1.0
+        big = tmp_path / "n15.json"
+        big.write_text(state_to_json(PureState(product, 15)))
+        assert main(["measure", "--state", str(big), "--k", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_infinite_density_exits_2(self, tmp_path, capsys):

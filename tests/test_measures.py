@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import (
     kme_brute,
+    kme_scan,
     negativity_trace_norm,
     random_state_vector,
     wootters_brute,
@@ -10,12 +11,14 @@ from oracles import (
 from qent import (
     DensityMatrix,
     DimensionMismatch,
+    FAMILY_LABELS,
     FamilyParams,
     OutOfRange,
     Partition,
     PureState,
     apply_local_unitary,
     bipartite_concurrence_pure,
+    default_parameter_grid,
     density_of,
     ghz,
     ghz_noise,
@@ -93,8 +96,8 @@ class TestKmeConcurrence:
 
     def test_report_invariants(self):
         rep = kme_concurrence_pure(PSI9, 2)
-        assert rep.value == min(v for _, v in rep.per_partition)
-        assert len(rep.per_partition) == 7
+        assert rep.measure_name == "C_2-ME"
+        assert (rep.value, rep.optimal_partition.blocks) == kme_scan(PSI9, 2)
         assert rep.optimal_partition == Partition(((0,), (1, 2, 3)))
 
     def test_tie_break_deterministic(self):
@@ -108,6 +111,43 @@ class TestKmeConcurrence:
             kme_concurrence_pure(BELL, 3)
         with pytest.raises(OutOfRange):
             kme_concurrence_pure(BELL, 1)
+
+    def test_site_cap(self):
+        product = np.zeros(2**15, dtype=complex)
+        product[0] = 1.0
+        with pytest.raises(OutOfRange, match="cap"):
+            kme_concurrence_pure(PureState(product, 15), 2)
+
+
+def _structured_states():
+    for n in range(3, 7):
+        yield f"GHZ{n}", ghz(n)
+        yield f"W{n}", w(n)
+    for family in sorted(FAMILY_LABELS):
+        for i, params in enumerate(default_parameter_grid(family)):
+            yield f"family {family} #{i}", slocc_family(params)
+
+
+class TestKmeMatchesScan:
+    """Value and argmin equal (==) to the exhaustive scan, ties included."""
+
+    def test_structured_states(self):
+        for label, psi in _structured_states():
+            for k in range(2, psi.num_sites + 1):
+                rep = kme_concurrence_pure(psi, k)
+                assert (rep.value, rep.optimal_partition.blocks) == kme_scan(psi, k), (
+                    label,
+                    k,
+                )
+
+    def test_random_states_any_k_order(self, rng):
+        # descending k grows the state's cut-entropy table one block size at a time
+        for n in (5, 6):
+            for _ in range(2):
+                psi = PureState(random_state_vector(n, rng), n)
+                for k in range(n, 1, -1):
+                    rep = kme_concurrence_pure(psi, k)
+                    assert (rep.value, rep.optimal_partition.blocks) == kme_scan(psi, k)
 
 
 class TestNmeLowerBound:
