@@ -6,12 +6,13 @@ S_L(A) = 1 - Tr rho_A^2; the measure is the minimum over all
 k-partitions.  It is computed without enumerating the S(n, k)
 partitions: a cut-entropy table holds S_L(B) for every block B of at
 most n - k + 1 sites (one SVD per block, cached on the state and filled
-one block size at a time), and a subset DP over canonical prefixes
-(each step adds the block holding the lowest unused site) finds the
-minimum of the same left-to-right block sums a scan would form.  The
-minimizing partition is the lexicographically smallest canonical one
-that attains the rounded minimum.  k-ME refuses states of more than
-MAX_SITES = 14 qubits (n = 14, k = 7 takes about a minute).
+one block size at a time), and a backward subset DP over canonical
+prefixes (each step adds the block holding the lowest unused site)
+finds the least right-nested block sum S(B_1) + (S(B_2) + (... + S(B_k)))
+exactly.  The reported partition is the lexicographically smallest
+canonical one that attains the rounded minimum, found by a greedy walk
+over the same DP.  k-ME refuses states of more than MAX_SITES = 14
+qubits (n = 14, k = 7 takes about a minute).
 
 Negativity of qubit p is the trace norm of the partial transpose minus
 one (identically minus twice the sum of negative transposed
@@ -46,12 +47,6 @@ _SYY = np.kron(_SY, _SY)
 
 # cuts stacked into one batched SVD call when filling the cut-entropy table
 SVD_CHUNK = 16
-# A prefix stays in the tie-break search while its sum plus the best
-# completion is within this of the minimum.  It covers both the rounding
-# of those sums (at most 2k additions of terms below 1 into totals below
-# 15, under 1e-13) and the gap between the minimum and the largest sum
-# that rounds to the same k-ME value (a few ulps).
-TIE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,16 +116,6 @@ def bipartite_concurrence_pure(psi: PureState, side_a: Union[int, Iterable[int]]
     return clamped_sqrt(2.0 * linear_entropy_pure(psi, side_a))
 
 
-@functools.lru_cache(maxsize=None)
-def _popcount(n: int) -> np.ndarray:
-    """Number of sites in every n-site block bitmask."""
-    count = np.zeros(1 << n, dtype=np.intp)
-    for i in range(n):
-        count[1 << i : 2 << i] = count[: 1 << i] + 1
-    count.setflags(write=False)
-    return count
-
-
 def _submasks(positions: list[int]) -> np.ndarray:
     """Every bitmask over the given bit positions, the empty one first."""
     out = np.zeros(1 << len(positions), dtype=np.intp)
@@ -181,7 +166,9 @@ def _prefix_steps(n: int, max_size: int) -> tuple[np.ndarray, np.ndarray]:
     sites and leaves at least one site for the blocks after it.
     """
     full = (1 << n) - 1
-    count = _popcount(n)
+    count = np.zeros(1 << n, dtype=np.intp)  # sites in each bitmask
+    for i in range(n):
+        count[1 << i : 2 << i] = count[: 1 << i] + 1
     prefixes, blocks = [], []
     for m in range(1, n):
         # each site above m is in the prefix, in the block, or in neither
@@ -203,42 +190,24 @@ def _prefix_steps(n: int, max_size: int) -> tuple[np.ndarray, np.ndarray]:
     return steps
 
 
-def _min_block_sum(table: np.ndarray, n: int, k: int) -> float:
-    """Least left-to-right sum S(B_1) + ... + S(B_k) over canonical k-partitions.
+def _kme_minimum(table: np.ndarray, n: int, k: int) -> tuple[float, Partition]:
+    """The k-ME value and the lexicographically smallest canonical
+    k-partition attaining it.
 
-    best[U] is the least sum of a canonical prefix with union U and the
-    current number of blocks.  Float addition is monotone, so keeping
-    only that least prefix sum per union loses no partition's total.
-    """
-    masks = np.arange(1 << n)
-    best = np.where(masks & 1, table, np.inf)
-    for _ in range(k - 2):
-        prefix, block = _prefix_steps(n, n - k + 1)
-        nxt = np.full(1 << n, np.inf)
-        np.minimum.at(nxt, prefix | block, best[prefix] + table[block])
-        best = nxt
-    return float(np.min(best + table[masks ^ ((1 << n) - 1)]))
-
-
-def _first_optimal_partition(
-    table: np.ndarray, n: int, k: int, s_min: float, value: float
-) -> Partition:
-    """Lexicographically smallest canonical k-partition whose value,
-    clamped_sqrt(2 * sum / k) of its left-to-right block sum, equals value.
-
-    A depth-first search in lexicographic block order; a prefix is
-    pruned when its sum plus the least completion sum (a backward DP
-    over the same steps) exceeds s_min by more than TIE_SLACK.
+    A partition's block sum is right-nested in canonical block order,
+    S(B_1) + (S(B_2) + (... + S(B_k))).  completion[j][U] is the least
+    sum of the k - j blocks that complete a prefix of j blocks with union
+    U, from a backward DP over canonical steps.  Float addition is
+    monotone, so a prefix nested around its least completion gives the
+    least sum of every partition that starts with it: the minimum is
+    exact, and a greedy walk keeps, block by block, the first candidate
+    in lexicographic order whose least sum still rounds to the k-ME value.
     """
     full = (1 << n) - 1
-    count = _popcount(n)
-    max_size = n - k + 1
-    # completion[j][U]: least sum of the k - j blocks that complete a
-    # prefix of j blocks with union U
     completion = [None] * k
     completion[k - 1] = table[np.arange(1 << n) ^ full]
+    prefix, block = _prefix_steps(n, n - k + 1)
     for j in range(k - 2, 0, -1):
-        prefix, block = _prefix_steps(n, max_size)
         completion[j] = np.full(1 << n, np.inf)
         np.minimum.at(completion[j], prefix, table[block] + completion[j + 1][prefix | block])
 
@@ -246,29 +215,23 @@ def _first_optimal_partition(
         """Sites of a block bitmask, ascending: the order ties are broken in."""
         return tuple(i for i in range(n) if mask >> i & 1)
 
-    def search(used: int, j: int, s: float) -> Optional[list[int]]:
+    chosen, used = [], 0
+    for j in range(k - 1):
         rest = full ^ used
         low = rest & -rest
+        # candidates too large to leave a site for each later block have
+        # an infinite completion
         cand = low | _submasks([i for i in range(n) if rest >> i & 1 and 1 << i != low])
-        cand = cand[(count[cand] <= max_size) & (cand != rest)]
-        sums = s + table[cand]
-        if j + 2 == k:  # the last block is the rest: score whole partitions
-            hits = cand[np.sqrt(2.0 * (sums + table[rest ^ cand]) / k) == value]
-            if not hits.size:
-                return None
-            first = min(hits.tolist(), key=lex)
-            return [first, rest ^ first]
-        live = cand[sums + completion[j + 1][used | cand] <= s_min + TIE_SLACK]
-        for b in sorted(live.tolist(), key=lex):
-            found = search(used | b, j + 1, s + float(table[b]))
-            if found is not None:
-                return [b] + found
-        return None
-
-    found = search(0, 0, 0.0)
-    if found is None:  # unreachable: the DP minimum is some partition's sum
-        raise RuntimeError(f"no {k}-partition attains the k-ME minimum {value}")
-    return Partition(tuple(lex(b) for b in found))
+        sums = table[cand] + completion[j + 1][used | cand]
+        for b in reversed(chosen):
+            sums = table[b] + sums
+        if j == 0:
+            value = clamped_sqrt(2.0 * float(sums.min()) / k)
+        first = min(cand[np.sqrt(2.0 * sums / k) == value].tolist(), key=lex)
+        chosen.append(first)
+        used |= first
+    chosen.append(full ^ used)
+    return value, Partition(tuple(lex(b) for b in chosen))
 
 
 def kme_concurrence_pure(psi: PureState, k: int) -> MeasureReport:
@@ -278,26 +241,21 @@ def kme_concurrence_pure(psi: PureState, k: int) -> MeasureReport:
     Uses the state's cut-entropy table (blocks of up to n - k + 1 sites,
     built on first use and shared by later calls on the same state) and
     a subset DP instead of a scan over the S(n, k) partitions, so n = 12,
-    k = 6 takes seconds.  The value is bit for bit the minimum a scan
-    would find, summing each partition's block entropies left to right
-    with blocks ordered by their smallest site.  Exact ties of that
-    rounded value are broken toward the lexicographically smallest
-    canonical partition (blocks compared as tuples).  Raises OutOfRange
-    unless 2 <= k <= n and n <= MAX_SITES (14).
+    k = 6 takes seconds.  Each partition's block entropies are summed
+    right-nested, S(B_1) + (S(B_2) + (... + S(B_k))), with blocks ordered
+    by their smallest site, and the value is bit for bit the least
+    rounded sqrt(2/k * sum) a scan over those sums would find.  Among
+    partitions of exactly that value the lexicographically smallest
+    canonical one (blocks compared as tuples) is reported.  Raises
+    OutOfRange unless 2 <= k <= n and n <= MAX_SITES (14).
     """
     n = psi.num_sites
     if not 2 <= k <= n:
         raise OutOfRange(f"need 2 <= k <= num_sites, got k={k}, n={n}")
     if n > MAX_SITES:
         raise OutOfRange(f"n={n} exceeds the k-ME cap of {MAX_SITES} sites")
-    table = _cut_entropy_table(psi, n - k + 1)
-    s_min = _min_block_sum(table, n, k)
-    value = clamped_sqrt(2.0 * s_min / k)
-    return MeasureReport(
-        measure_name=f"C_{k}-ME",
-        value=value,
-        optimal_partition=_first_optimal_partition(table, n, k, s_min, value),
-    )
+    value, partition = _kme_minimum(_cut_entropy_table(psi, n - k + 1), n, k)
+    return MeasureReport(measure_name=f"C_{k}-ME", value=value, optimal_partition=partition)
 
 
 def nme_lower_bound(rho: DensityMatrix) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -194,12 +195,14 @@ def _row(
     tol: float,
     inequality: bool = False,
     note: str = "",
+    skip: bool = False,
 ) -> RelationCheckResult:
-    if inequality:
-        residual = max(0.0, rhs - lhs)
+    residual = max(0.0, rhs - lhs) if inequality else abs(lhs - rhs)
+    if skip:
+        verdict = VERDICT_SKIP
+    elif inequality:
         verdict = VERDICT_INEQ if lhs >= rhs - tol else VERDICT_FAIL
     else:
-        residual = abs(lhs - rhs)
         verdict = VERDICT_PASS if residual <= tol else VERDICT_FAIL
     return RelationCheckResult(
         relation=relation,
@@ -362,29 +365,16 @@ def _check_r7(params: FamilyParams, tol: float, desc: str, tangle_tol: float):
     c2_direct = direct_kme[2]
     min_n = min(direct_neg)
     desc_min = f"{desc} | C2 = min N"
-    if pred.c2_min_negativity == "fails":
+    skip = pred.c2_min_negativity == "fails"
+    if skip:
         note = f"condition violated (margin={pred.condition_margin:.6g}); equality not predicted"
         if abs(c2_direct - min_n) <= tol:
             note += "; equality holds anyway"
-        rows.append(
-            RelationCheckResult(
-                relation=RelationId.R7,
-                state_descriptor=desc_min,
-                lhs=float(c2_direct),
-                rhs=float(min_n),
-                residual=abs(c2_direct - min_n),
-                tolerance=float(tol),
-                verdict=VERDICT_SKIP,
-                condition_note=note,
-            )
-        )
+    elif pred.c2_min_negativity == "holds":
+        note = "unconditional"
     else:
-        note = (
-            "unconditional"
-            if pred.c2_min_negativity == "holds"
-            else f"condition satisfied (margin={pred.condition_margin:.6g})"
-        )
-        rows.append(_row(RelationId.R7, desc_min, c2_direct, min_n, tol, note=note))
+        note = f"condition satisfied (margin={pred.condition_margin:.6g})"
+    rows.append(_row(RelationId.R7, desc_min, c2_direct, min_n, tol, note=note, skip=skip))
     return rows
 
 
@@ -521,6 +511,38 @@ _ALLOWED_KEYS: dict[str, set[str]] = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_spec_value(name: str, key: str, value) -> None:
+    """Raise ConfigError unless a relation spec value has the type its key
+    needs (grids are checked when the suite cases are built)."""
+    if key in ("samples", "t_points", "random_t", "random_points"):
+        ok, need = _is_int(value) and value >= 0, "a non-negative integer"
+    elif key in ("sizes", "ranks", "families"):
+        ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
+        need = "a list of integers"
+    elif key == "cuts":
+        ok = isinstance(value, (list, tuple)) and all(
+            isinstance(c, (list, tuple)) and len(c) == 2 and all(_is_int(v) and v >= 1 for v in c)
+            for c in value
+        )
+        need = "a list of [na, nb] pairs with na, nb >= 1"
+    elif key in ("tolerance", "tangle_tolerance"):
+        ok = value is None or (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and value > 0
+        )
+        need = "a positive finite number"
+    else:
+        return
+    if not ok:
+        raise ConfigError(f"relation {name} {key} must be {need}, got {value!r}")
+
+
 def _complex_from_config(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -573,6 +595,8 @@ class SuiteConfig:
             bad = set(spec) - _ALLOWED_KEYS[name]
             if bad:
                 raise ConfigError(f"relation {name} has unknown keys {sorted(bad)}")
+            for key, value in spec.items():
+                _check_spec_value(name, key, value)
             merged = dict(_DEFAULT_RELATIONS[name])
             merged.update(spec)
             normalized[name] = merged

@@ -97,16 +97,16 @@ def kme_scan(psi, k: int):
 
     Each partition from k_partitions_brute is put in canonical form
     (sorted blocks ordered by their smallest site), its block linear
-    entropies are summed left to right and the sum goes through
-    clamped_sqrt(2 s / k).  Among exactly equal values the smallest
-    blocks tuple wins.
+    entropies are summed right-nested, S(B_1) + (S(B_2) + (... + S(B_k))),
+    and the sum goes through clamped_sqrt(2 s / k).  Among exactly equal
+    values the smallest blocks tuple wins.
     """
     scan = []
     for part in k_partitions_brute(psi.num_sites, k):
         blocks = tuple(sorted((tuple(sorted(b)) for b in part), key=lambda b: b[0]))
         s = 0.0
-        for b in blocks:  # not sum(): Python 3.12+ compensates float sums
-            s += linear_entropy_pure(psi, b)
+        for b in reversed(blocks):  # not sum(): Python 3.12+ compensates float sums
+            s = linear_entropy_pure(psi, b) + s
         scan.append((clamped_sqrt(2.0 * s / k), blocks))
     return min(scan)
 

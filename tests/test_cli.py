@@ -189,9 +189,20 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", str(suite)]) == 1
 
     def test_bad_suite_exit_2(self, tmp_path, capsys):
+        bad_relations = [
+            {"R1": {"samples": "x"}},
+            {"R1": {"sizes": 3}},
+            {"R3": {"t_points": 2.5}},
+            {"R1": {"tolerance": "abc"}},
+            {"R9": {"cuts": [[0, 1]]}},
+        ]
+        texts = ["{definitely not json"]
+        texts += [json.dumps({"relations": rels}) for rels in bad_relations]
         suite = tmp_path / "bad.json"
-        suite.write_text("{definitely not json")
-        assert main(["verify", "--suite", str(suite)]) == 2
+        for text in texts:
+            suite.write_text(text)
+            assert main(["verify", "--suite", str(suite)]) == 2, text
+            assert "error:" in capsys.readouterr().err
 
     def test_seed_override_and_csv_determinism(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"

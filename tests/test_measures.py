@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from oracles import (
@@ -119,6 +121,27 @@ class TestKmeConcurrence:
             kme_concurrence_pure(PureState(product, 15), 2)
 
 
+def _dicke(n: int, e: int) -> PureState:
+    """Equal superposition of the n-qubit basis states with e ones."""
+    amps = np.zeros(2**n)
+    for ones in combinations(range(n), e):
+        amps[sum(1 << (n - 1 - s) for s in ones)] = 1.0
+    return make_pure(amps, n)
+
+
+def _bell_pairs(pairs) -> PureState:
+    """Product of Bell pairs, one on each given pair of sites."""
+    n = 2 * len(pairs)
+    amps = np.ones(1)
+    for _ in pairs:
+        amps = np.kron(amps, BELL.amplitudes)
+    # site a of the result is site 2i of the product, site b is 2i + 1
+    perm = [0] * n
+    for i, (a, b) in enumerate(pairs):
+        perm[a], perm[b] = 2 * i, 2 * i + 1
+    return PureState(amps.reshape((2,) * n).transpose(perm).reshape(-1), n)
+
+
 def _structured_states():
     for n in range(3, 7):
         yield f"GHZ{n}", ghz(n)
@@ -126,6 +149,12 @@ def _structured_states():
     for family in sorted(FAMILY_LABELS):
         for i, params in enumerate(default_parameter_grid(family)):
             yield f"family {family} #{i}", slocc_family(params)
+    # many partitions tie on these, so the fold order decides the argmin
+    for n in range(4, 8):
+        for e in range(n // 2 + 1):
+            yield f"Dicke n={n} e={e}", _dicke(n, e)
+    yield "Bell pairs 02|13", _bell_pairs([(0, 2), (1, 3)])
+    yield "Bell pairs 03|15|24", _bell_pairs([(0, 3), (1, 5), (2, 4)])
 
 
 class TestKmeMatchesScan:
