@@ -8,18 +8,11 @@ digits; CSV output keeps full precision (17 significant digits).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from typing import Optional, Sequence
 
 from .errors import InputError, QentError
-from .families import (
-    FAMILY_LABELS,
-    FamilyParams,
-    family_closed_forms,
-    slocc_family,
-)
+from .families import FAMILY_LABELS, FamilyParams, family_closed_forms, slocc_family
 from .invariants import invariants3, invariants4
 from .measures import (
     kme_concurrence_pure,
@@ -38,22 +31,10 @@ from .qstate import (
     save_state,
     state_to_json,
 )
-from .verify import CSV_HEADER, SuiteConfig, random_mixed, random_pure, run_suite
+from .verify import SuiteConfig, _csv_text, random_mixed, random_pure, run_suite
 
 DISPLAY = ".12g"
 CSV_PRECISION = ".17g"
-
-MEASURE_CHOICES = (
-    "kme",
-    "negativity",
-    "nme-bound",
-    "one-tangle",
-    "two-tangle",
-    "three-tangle",
-    "wootters",
-    "invariants3",
-    "invariants4",
-)
 
 
 def _parse_complex(text: str) -> complex:
@@ -74,13 +55,7 @@ def _parse_k_list(text: str) -> list[int]:
 
 
 def _family_from_args(args) -> FamilyParams:
-    return FamilyParams(
-        family_id=args.family,
-        a=_parse_complex(args.a),
-        b=_parse_complex(args.b),
-        c=_parse_complex(args.c),
-        d=_parse_complex(args.d),
-    )
+    return FamilyParams(args.family, *(_parse_complex(getattr(args, p)) for p in "abcd"))
 
 
 def _resolve_state(args):
@@ -93,12 +68,6 @@ def _resolve_state(args):
     raise InputError("one of --state or --family is required")
 
 
-def _as_density(state) -> DensityMatrix:
-    if isinstance(state, DensityMatrix):
-        return state
-    return density_of(state)
-
-
 def _require_pure(state, what: str) -> PureState:
     if not isinstance(state, PureState):
         raise InputError(f"{what} needs a pure state input")
@@ -109,105 +78,95 @@ def _fmt(x: float) -> str:
     return format(float(x), DISPLAY)
 
 
-class _CsvRows:
-    """Collects rows in the verify-report column schema."""
+# A measure's rows are (display label, value, CSV name or None, argmin
+# partition or None); only k-ME has an argmin.
 
-    def __init__(self):
-        self.rows: list[list[str]] = []
 
-    def add(self, name: str, descriptor: str, value: float, note: str = ""):
-        self.rows.append(
-            [name, descriptor, format(float(value), CSV_PRECISION), "", "", "",
-             "computed", note]
-        )
+def _kme_rows(psi: PureState, ks):
+    for k in ks or range(2, psi.num_sites + 1):
+        rep = kme_concurrence_pure(psi, k)
+        yield f"C_{k}-ME", rep.value, f"C_{k}-ME", rep.optimal_partition
 
-    def dump(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(self.rows)
-        return buf.getvalue()
+
+def _negativity_rows(rho: DensityMatrix, ks):
+    for p, v in enumerate(negativity_profile(rho).per_site):
+        yield f"N^{p}", v, f"N^{p}", None
+
+
+def _one_tangle_rows(psi: PureState, ks):
+    for p in range(psi.num_sites):
+        yield f"one-tangle site {p}", one_tangle(psi, p), f"one_tangle_{p}", None
+
+
+def _single(label: str, csv_name: str, fn):
+    return lambda state, ks: [(label, fn(state), csv_name, None)]
+
+
+def _invariant_rows(fn):
+    def rows(psi: PureState, ks):
+        inv = fn(psi)
+        yield "I2", inv.i2, None, None
+        for idx, v in enumerate(inv.i4, start=1):
+            yield f"I4({idx})", v, f"I4({idx})", None
+    return rows
+
+
+# measure -> (what needs a pure state, or None to take the density matrix; rows)
+_MEASURES = {
+    "kme": ("k-ME concurrence", _kme_rows),
+    "negativity": (None, _negativity_rows),
+    "nme-bound": (None, _single("n-ME lower bound", "nme_lower_bound", nme_lower_bound)),
+    "one-tangle": ("one-tangle", _one_tangle_rows),
+    "two-tangle": (None, _single("two-tangle", "two_tangle", two_tangle)),
+    "three-tangle": ("three-tangle", _single("three-tangle", "three_tangle", three_tangle)),
+    "wootters": (None, _single("wootters concurrence", "wootters_concurrence",
+                               wootters_concurrence)),
+    "invariants3": ("invariants3", _invariant_rows(invariants3)),
+    "invariants4": ("invariants4", _invariant_rows(invariants4)),
+}
+
+
+def _report(state, descriptor: str, measures: list[str], ks, csv_path) -> int:
+    """Print each measure's rows and write them to csv_path if given."""
+    print(f"state: {descriptor} ({state.num_sites} qubits)")
+    rows = []
+    for m in measures:
+        pure_label, measure_rows = _MEASURES[m]
+        if pure_label is not None:
+            target = _require_pure(state, pure_label)
+        else:
+            target = state if isinstance(state, DensityMatrix) else density_of(state)
+        for label, value, csv_name, partition in measure_rows(target, ks):
+            if partition is None:
+                print(f"{label} = {_fmt(value)}")
+            else:
+                print(f"{label} = {_fmt(value)}   (argmin partition {partition})")
+            if csv_name is not None:
+                note = "" if partition is None else f"argmin {partition}"
+                rows.append([csv_name, descriptor, format(float(value), CSV_PRECISION),
+                             "", "", "", "computed", note])
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.write(_csv_text(rows))
+    return 0
 
 
 def _cmd_measure(args) -> int:
     state, descriptor = _resolve_state(args)
     wanted = [m.strip() for m in args.measures.split(",")] if args.measures else ["kme"]
     for m in wanted:
-        if m not in MEASURE_CHOICES:
-            raise InputError(f"unknown measure {m!r}; choose from {MEASURE_CHOICES}")
+        if m not in _MEASURES:
+            raise InputError(f"unknown measure {m!r}; choose from {tuple(_MEASURES)}")
     ks = _parse_k_list(args.k) if args.k else None
-    out = _CsvRows()
-    print(f"state: {descriptor} ({state.num_sites} qubits)")
-
-    for m in wanted:
-        if m == "kme":
-            psi = _require_pure(state, "k-ME concurrence")
-            for k in ks or list(range(2, psi.num_sites + 1)):
-                rep = kme_concurrence_pure(psi, k)
-                print(
-                    f"C_{k}-ME = {_fmt(rep.value)}   "
-                    f"(argmin partition {rep.optimal_partition})"
-                )
-                out.add(f"C_{k}-ME", descriptor, rep.value,
-                        note=f"argmin {rep.optimal_partition}")
-        elif m == "negativity":
-            prof = negativity_profile(_as_density(state))
-            for p, v in enumerate(prof.per_site):
-                print(f"N^{p} = {_fmt(v)}")
-                out.add(f"N^{p}", descriptor, v)
-        elif m == "nme-bound":
-            v = nme_lower_bound(_as_density(state))
-            print(f"n-ME lower bound = {_fmt(v)}")
-            out.add("nme_lower_bound", descriptor, v)
-        elif m == "one-tangle":
-            psi = _require_pure(state, "one-tangle")
-            for p in range(psi.num_sites):
-                v = one_tangle(psi, p)
-                print(f"one-tangle site {p} = {_fmt(v)}")
-                out.add(f"one_tangle_{p}", descriptor, v)
-        elif m == "two-tangle":
-            v = two_tangle(_as_density(state))
-            print(f"two-tangle = {_fmt(v)}")
-            out.add("two_tangle", descriptor, v)
-        elif m == "three-tangle":
-            psi = _require_pure(state, "three-tangle")
-            v = three_tangle(psi)
-            print(f"three-tangle = {_fmt(v)}")
-            out.add("three_tangle", descriptor, v)
-        elif m == "wootters":
-            v = wootters_concurrence(_as_density(state))
-            print(f"wootters concurrence = {_fmt(v)}")
-            out.add("wootters_concurrence", descriptor, v)
-        elif m == "invariants3":
-            inv = invariants3(_require_pure(state, "invariants3"))
-            print(f"I2 = {_fmt(inv.i2)}")
-            for idx, v in enumerate(inv.i4, start=1):
-                print(f"I4({idx}) = {_fmt(v)}")
-                out.add(f"I4({idx})", descriptor, v)
-        elif m == "invariants4":
-            inv = invariants4(_require_pure(state, "invariants4"))
-            print(f"I2 = {_fmt(inv.i2)}")
-            for idx, v in enumerate(inv.i4, start=1):
-                print(f"I4({idx}) = {_fmt(v)}")
-                out.add(f"I4({idx})", descriptor, v)
-
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(out.dump())
-    return 0
+    return _report(state, descriptor, wanted, ks, args.csv)
 
 
 def _cmd_invariants(args) -> int:
     state, descriptor = _resolve_state(args)
     psi = _require_pure(state, "invariants")
-    if psi.num_sites == 3:
-        args.measures = "invariants3"
-    elif psi.num_sites == 4:
-        args.measures = "invariants4"
-    else:
+    if psi.num_sites not in (3, 4):
         raise InputError("invariants are defined for 3- or 4-qubit pure states")
-    args.k = None
-    return _cmd_measure(args)
+    return _report(psi, descriptor, [f"invariants{psi.num_sites}"], None, args.csv)
 
 
 def _cmd_family(args) -> int:
@@ -299,14 +258,16 @@ def _cmd_verify(args) -> int:
     return report.exit_code
 
 
-def _add_state_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--state", help="path to a state JSON file")
+def _add_state_args(parser: argparse.ArgumentParser, state_file: bool = True):
+    """--state FILE (if state_file) and the --family/--a..--d flags;
+    without --state, --family is required."""
+    if state_file:
+        parser.add_argument("--state", help="path to a state JSON file")
     parser.add_argument("--family", type=int, choices=sorted(FAMILY_LABELS),
-                        help="SLOCC family id 1..9")
+                        required=not state_file, help="SLOCC family id 1..9")
     parser.add_argument("--a", default="0", help="family parameter a (complex literal)")
-    parser.add_argument("--b", default="0", help="family parameter b")
-    parser.add_argument("--c", default="0", help="family parameter c")
-    parser.add_argument("--d", default="0", help="family parameter d")
+    for p in "bcd":
+        parser.add_argument(f"--{p}", default="0", help=f"family parameter {p}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--k", help="comma-separated k values for k-ME concurrence")
     p_measure.add_argument(
         "--measures",
-        help="comma-separated list from: " + ", ".join(MEASURE_CHOICES),
+        help="comma-separated list from: " + ", ".join(_MEASURES),
     )
     p_measure.add_argument("--csv", help="also write values to this CSV path")
     p_measure.set_defaults(func=_cmd_measure)
@@ -332,12 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.set_defaults(func=_cmd_invariants)
 
     p_family = sub.add_parser("family", help="construct a SLOCC family state")
-    p_family.add_argument("--family", type=int, required=True,
-                          choices=sorted(FAMILY_LABELS))
-    p_family.add_argument("--a", default="0")
-    p_family.add_argument("--b", default="0")
-    p_family.add_argument("--c", default="0")
-    p_family.add_argument("--d", default="0")
+    _add_state_args(p_family, state_file=False)
     p_family.add_argument("--out", help="write the state JSON here")
     p_family.set_defaults(func=_cmd_family)
 

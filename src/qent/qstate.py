@@ -194,10 +194,7 @@ def reduced_density_pure(psi: PureState, keep: Union[int, Iterable[int]]) -> np.
     """Reduced density matrix of a pure state, materialized from the
     amplitude tensor (fast path; agrees with partial_trace of the full
     projector to better than 1e-12)."""
-    n = psi.num_sites
-    keep_t = sites_tuple(keep, n)
-    other = [s for s in range(n) if s not in keep_t]
-    m = psi.tensor().transpose(list(keep_t) + other).reshape(2 ** len(keep_t), -1)
+    m = _amplitude_matrix(psi, sites_tuple(keep, psi.num_sites))
     return m @ m.conj().T
 
 

@@ -57,12 +57,12 @@ from .invariants import (
     tangles_from_invariants3,
 )
 from .measures import (
+    _pair_tangle,
     kme_concurrence_pure,
     negativity,
     negativity_profile,
     nme_lower_bound,
     three_tangle,
-    two_tangle,
 )
 from .qstate import (
     DensityMatrix,
@@ -80,6 +80,9 @@ TOL_EQUALITY = 1e-9
 TOL_TANGLE = 1e-8
 TOL_FAMILY = 1e-8
 
+# most qubits of a random suite state, an R3 size or an R9 cut (na + nb)
+SUITE_MAX_SITES = 8
+
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_INEQ = "inequality-satisfied"
@@ -96,6 +99,15 @@ CSV_HEADER = [
     "verdict",
     "condition_note",
 ]
+
+
+def _csv_text(rows) -> str:
+    """CSV_HEADER then `rows`, one line each, as report CSV text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 class RelationId(str, Enum):
@@ -151,8 +163,8 @@ class Ensemble:
 
 def random_pure(n: int, seed: int) -> PureState:
     """Haar-like random pure state from a seeded complex-normal vector."""
-    if not 1 <= n <= 8:
-        raise OutOfRange(f"random_pure supports 1 <= n <= 8, got {n}")
+    if not 1 <= n <= SUITE_MAX_SITES:
+        raise OutOfRange(f"random_pure supports 1 <= n <= {SUITE_MAX_SITES}, got {n}")
     rng = np.random.default_rng(seed)
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return PureState(v / np.linalg.norm(v), n)
@@ -161,8 +173,8 @@ def random_pure(n: int, seed: int) -> PureState:
 def random_ensemble(n: int, rank: int, seed: int) -> Ensemble:
     """Random convex mixture of `rank` random pure states with Dirichlet
     weights, fully reproducible from `seed`."""
-    if not 1 <= n <= 8:
-        raise OutOfRange(f"random_ensemble supports 1 <= n <= 8, got {n}")
+    if not 1 <= n <= SUITE_MAX_SITES:
+        raise OutOfRange(f"random_ensemble supports 1 <= n <= {SUITE_MAX_SITES}, got {n}")
     if not 1 <= rank <= 2**n:
         raise OutOfRange(f"rank must be in [1, 2^n], got {rank}")
     rng = np.random.default_rng(seed)
@@ -312,7 +324,7 @@ def _check_r5(psi: PureState, tol: float, desc: str, tangle_tol: float):
     ]
     direct_tangles = []
     for (i, j), name, lhs in zip(pairs, names, pred):
-        rhs = two_tangle(DensityMatrix(reduced_density_pure(psi, (i, j)), 2))
+        rhs = _pair_tangle(psi, (i, j))
         direct_tangles.append(rhs)
         rows.append(
             _row(RelationId.R5, f"{desc} | {name} via invariants", lhs, rhs, tangle_tol)
@@ -403,13 +415,12 @@ def _check_r8(payload, tol: float, desc: str, tangle_tol: float):
         psi = w_class(coeffs)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                red = DensityMatrix(reduced_density_pure(psi, (i - 1, j - 1)), 2)
                 rows.append(
                     _row(
                         RelationId.R8,
                         f"{desc} | pair ({i},{j})",
                         w_two_tangle(coeffs, i, j),
-                        two_tangle(red),
+                        _pair_tangle(psi, (i - 1, j - 1)),
                         tangle_tol,
                     )
                 )
@@ -523,12 +534,16 @@ def _check_spec_value(name: str, key: str, value) -> None:
     elif key in ("sizes", "ranks", "families"):
         ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
         need = "a list of integers"
+        if (name, key) == ("R3", "sizes"):  # R3 builds a 4^n density matrix per size
+            ok = ok and all(v <= SUITE_MAX_SITES for v in value)
+            need = f"a list of integers <= {SUITE_MAX_SITES}"
     elif key == "cuts":
         ok = isinstance(value, (list, tuple)) and all(
             isinstance(c, (list, tuple)) and len(c) == 2 and all(_is_int(v) and v >= 1 for v in c)
+            and sum(c) <= SUITE_MAX_SITES  # R9 builds the projector of each cut
             for c in value
         )
-        need = "a list of [na, nb] pairs with na, nb >= 1"
+        need = f"a list of [na, nb] pairs with na, nb >= 1 and na + nb <= {SUITE_MAX_SITES}"
     elif key in ("tolerance", "tangle_tolerance"):
         ok = value is None or (
             isinstance(value, (int, float))
@@ -790,23 +805,19 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in self.results:
-            writer.writerow(
-                [
-                    r.relation.value,
-                    r.state_descriptor,
-                    format(r.lhs, ".17g"),
-                    format(r.rhs, ".17g"),
-                    format(r.residual, ".17g"),
-                    format(r.tolerance, ".17g"),
-                    r.verdict,
-                    r.condition_note,
-                ]
-            )
-        return buf.getvalue()
+        return _csv_text(
+            [
+                r.relation.value,
+                r.state_descriptor,
+                format(r.lhs, ".17g"),
+                format(r.rhs, ".17g"),
+                format(r.residual, ".17g"),
+                format(r.tolerance, ".17g"),
+                r.verdict,
+                r.condition_note,
+            ]
+            for r in self.results
+        )
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:

@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from qent import PureState, make_pure, state_to_json
+from qent import PureState, make_pure, state_to_json, w
 from qent.cli import main
 
 
@@ -54,6 +56,42 @@ class TestMeasureCommand:
         assert len(value.replace("-", "").replace(".", "").lstrip("0")) >= 15 or float(
             value
         ) == 1.0
+
+    def test_csv_rows_follow_printed_labels(self, bell_file, tmp_path, capsys):
+        three, four = tmp_path / "w3.json", tmp_path / "w4.json"
+        three.write_text(state_to_json(w(3)))
+        four.write_text(state_to_json(w(4)))
+        runs = [
+            (bell_file, "kme,negativity,nme-bound,one-tangle,two-tangle,wootters",
+             ["C_2-ME", "N^0", "N^1", "n-ME lower bound", "one-tangle site 0",
+              "one-tangle site 1", "two-tangle", "wootters concurrence"],
+             ["C_2-ME", "N^0", "N^1", "nme_lower_bound", "one_tangle_0",
+              "one_tangle_1", "two_tangle", "wootters_concurrence"]),
+            (three, "three-tangle,invariants3,kme",
+             ["three-tangle", "I2"] + [f"I4({i})" for i in range(1, 5)] + ["C_2-ME", "C_3-ME"],
+             ["three_tangle"] + [f"I4({i})" for i in range(1, 5)] + ["C_2-ME", "C_3-ME"]),
+            (four, "invariants4", ["I2"] + [f"I4({i})" for i in range(1, 8)],
+             [f"I4({i})" for i in range(1, 8)]),
+        ]
+        for path, measures, labels, names in runs:
+            csv_path = tmp_path / "out.csv"
+            args = ["measure", "--state", str(path), "--measures", measures]
+            assert main(args + ["--csv", str(csv_path)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith(f"state: {path} (")
+            assert [line.split(" = ")[0] for line in lines[1:]] == labels
+            rows = list(csv.reader(io.StringIO(csv_path.read_text())))
+            assert rows[0][0] == "relation"
+            assert [row[0] for row in rows[1:]] == names
+            printed = {line.split(" = ")[0]: line for line in lines[1:]}
+            for row in rows[1:]:
+                assert row[1] == str(path) and row[3:7] == ["", "", "", "computed"]
+                if row[0].startswith("C_"):
+                    assert row[7].startswith("argmin ")
+                    partition = row[7].removeprefix("argmin ")
+                    assert printed[row[0]].endswith(f"   (argmin partition {partition})")
+                else:
+                    assert row[7] == ""
 
     def test_malformed_state_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -195,6 +233,8 @@ class TestVerifyCommand:
             {"R3": {"t_points": 2.5}},
             {"R1": {"tolerance": "abc"}},
             {"R9": {"cuts": [[0, 1]]}},
+            {"R3": {"sizes": [9]}},
+            {"R9": {"cuts": [[5, 5]]}},
         ]
         texts = ["{definitely not json"]
         texts += [json.dumps({"relations": rels}) for rels in bad_relations]
