@@ -88,8 +88,8 @@ def _kme_rows(psi: PureState, ks):
         yield f"C_{k}-ME", rep.value, f"C_{k}-ME", rep.optimal_partition
 
 
-def _negativity_rows(rho: DensityMatrix, ks):
-    for p, v in enumerate(negativity_profile(rho).per_site):
+def _negativity_rows(state, ks):
+    for p, v in enumerate(negativity_profile(state).per_site):
         yield f"N^{p}", v, f"N^{p}", None
 
 
@@ -111,15 +111,19 @@ def _invariant_rows(fn):
     return rows
 
 
-# measure -> (what needs a pure state, or None to take the density matrix; rows)
+# What a row function takes: the state as given, its density matrix, or
+# a pure state, named by a label in the error that mixed input gets.
+_AS_GIVEN, _DENSITY = "as given", "density matrix"
+
+# measure -> (what the row function takes; rows)
 _MEASURES = {
     "kme": ("k-ME concurrence", _kme_rows),
-    "negativity": (None, _negativity_rows),
-    "nme-bound": (None, _single("n-ME lower bound", "nme_lower_bound", nme_lower_bound)),
+    "negativity": (_AS_GIVEN, _negativity_rows),
+    "nme-bound": (_AS_GIVEN, _single("n-ME lower bound", "nme_lower_bound", nme_lower_bound)),
     "one-tangle": ("one-tangle", _one_tangle_rows),
-    "two-tangle": (None, _single("two-tangle", "two_tangle", two_tangle)),
+    "two-tangle": (_DENSITY, _single("two-tangle", "two_tangle", two_tangle)),
     "three-tangle": ("three-tangle", _single("three-tangle", "three_tangle", three_tangle)),
-    "wootters": (None, _single("wootters concurrence", "wootters_concurrence",
+    "wootters": (_DENSITY, _single("wootters concurrence", "wootters_concurrence",
                                wootters_concurrence)),
     "invariants3": ("invariants3", _invariant_rows(invariants3)),
     "invariants4": ("invariants4", _invariant_rows(invariants4)),
@@ -127,15 +131,24 @@ _MEASURES = {
 
 
 def _report(state, descriptor: str, measures: list[str], ks, csv_path) -> int:
-    """Print each measure's rows and write them to csv_path if given."""
+    """Print each measure's rows and write them to csv_path if given.
+
+    A pure state's density matrix is built at most once, and only for
+    the measures that need one.
+    """
     print(f"state: {descriptor} ({state.num_sites} qubits)")
     rows = []
+    density = state if isinstance(state, DensityMatrix) else None
     for m in measures:
-        pure_label, measure_rows = _MEASURES[m]
-        if pure_label is not None:
-            target = _require_pure(state, pure_label)
+        takes, measure_rows = _MEASURES[m]
+        if takes == _AS_GIVEN:
+            target = state
+        elif takes == _DENSITY:
+            if density is None:
+                density = density_of(state)
+            target = density
         else:
-            target = state if isinstance(state, DensityMatrix) else density_of(state)
+            target = _require_pure(state, takes)
         for label, value, csv_name, partition in measure_rows(target, ks):
             if partition is None:
                 print(f"{label} = {_fmt(value)}")

@@ -16,7 +16,16 @@ qubits (n = 14, k = 7 takes about a minute).
 
 Negativity of qubit p is the trace norm of the partial transpose minus
 one (identically minus twice the sum of negative transposed
-eigenvalues).
+eigenvalues).  negativity(rho, p) takes the transposing route: one
+dense 2^n x 2^n eigvalsh of rho^{T_p}.  negativity_profile and
+nme_lower_bound take the factored route: rho = W W^dag is factored once
+per state (W is psi for a pure state or for density_of(psi); otherwise
+one eigh that keeps the eigenvalues above 8 eps * max(largest, 1)),
+and each site's nonzero transposed spectrum comes from a 4r x 4r
+matrix built from the QR factor of W's rows split by the site, so a
+site costs O(2^n r^2) instead of O(8^n).  States of rank r with
+4r >= 2^n fall back to the transposing route.  The profile is memoized
+on the state.
 """
 from __future__ import annotations
 
@@ -33,6 +42,7 @@ from .qstate import (
     DensityMatrix,
     PureState,
     clamped_sqrt,
+    density_of,
     hermitian_eigenvalues,
     partial_transpose,
     reduced_density_pure,
@@ -94,6 +104,11 @@ def linear_entropy_pure(psi: PureState, block: Union[int, Iterable[int]]) -> flo
     return float(_linear_entropy_rows(schmidt_weights(psi, block)[None, :])[0])
 
 
+def _negativity_of_spectrum(ev: np.ndarray) -> float:
+    """-2 * the sum of the eigenvalues at or below -1e-12."""
+    return float(-2.0 * ev[ev <= NEGATIVE_EIGENVALUE_FLOOR].sum()) + 0.0
+
+
 def negativity(rho: DensityMatrix, site: int) -> float:
     """Negativity of one qubit against the rest.
 
@@ -101,14 +116,90 @@ def negativity(rho: DensityMatrix, site: int) -> float:
     of the partial transpose, with eigenvalues above -1e-12 treated as
     zero.
     """
-    ev = hermitian_eigenvalues(partial_transpose(rho, site))
-    neg = ev[ev <= NEGATIVE_EIGENVALUE_FLOOR]
-    return float(-2.0 * neg.sum()) + 0.0
+    return _negativity_of_spectrum(hermitian_eigenvalues(partial_transpose(rho, site)))
 
 
-def negativity_profile(rho: DensityMatrix) -> NegativityProfile:
-    """Negativity of every site of rho (qubit normalization)."""
-    return NegativityProfile(tuple(negativity(rho, p) for p in range(rho.num_sites)))
+def _first_kept(d: np.ndarray) -> int:
+    """Index of the first of the ascending eigenvalues d above the floor
+    8 eps * max(largest, 1) of _spin_flip_singular_values."""
+    floor = 8.0 * np.finfo(float).eps * max(float(d[-1]), 1.0)
+    return int(np.searchsorted(d, floor, side="right"))
+
+
+def _factor(state: Union[PureState, DensityMatrix]) -> Optional[np.ndarray]:
+    """W with rho = W W^dag and r columns, or None when 4r >= 2^n.
+
+    W is psi (one column) for a pure state and for density_of(psi), which
+    records psi in the matrix's memo.  Any other density matrix takes r
+    from its validation spectrum and, when r is small enough, W from one
+    eigh; both keep only the eigenvalues above _first_kept's floor (the
+    ones below are rounding dust or the PSD slack >= -1e-9 that
+    validation lets through).  W is not memoized: negativity_profile,
+    its one user, memoizes its result.
+    """
+    if isinstance(state, PureState):
+        w = state.amplitudes[:, None]
+    else:
+        w = state._memo.get("factor")
+    if w is None:
+        d = state._memo["spectrum"]
+        if 4 * (d.size - _first_kept(d)) >= d.size:
+            return None
+        d, u = np.linalg.eigh(state.entries)
+        kept = _first_kept(d)
+        w = u[:, kept:] * np.sqrt(d[kept:])
+    return w if 4 * w.shape[1] < w.shape[0] else None
+
+
+def _factored_negativity(w: np.ndarray, n: int, site: int) -> float:
+    """Negativity of one site of rho = W W^dag without forming rho.
+
+    With W's rows split by the site's bit into W0 and W1,
+    rho^{T_site} = X J X^dag for X = [e0 x W0, e0 x W1, e1 x W0, e1 x W1]
+    and J the swap of the two middle column blocks.  Its nonzero
+    eigenvalues are those of R J R^dag, 4r x 4r, for any R with
+    R^dag R = G = X^dag X = diag(H, H), where H = [W0 W1]^dag [W0 W1]
+    holds the Grams W0^dag W0, W0^dag W1 and W1^dag W1.  R is
+    diag(T, T) with T the triangular QR factor of [W0 W1] (T^dag T = H):
+    unlike G^{1/2}, which takes square roots of H's rounding-level
+    eigenvalues, it does not split the zero eigenvalues of R J R^dag
+    by ~1e-8 when H is singular.  Eigenvalues above -1e-12 count as
+    zero, as in negativity().
+    """
+    r = w.shape[1]
+    halves = w.reshape(2**site, 2, 2 ** (n - 1 - site), r).transpose(0, 2, 1, 3)
+    tri = np.linalg.qr(halves.reshape(2 ** (n - 1), 2 * r), mode="r")
+    r_full = np.kron(np.eye(2), tri)
+    swap = np.arange(4 * r).reshape(2, 2, r).transpose(1, 0, 2).ravel()
+    return _negativity_of_spectrum(np.linalg.eigvalsh(r_full[:, swap] @ r_full.conj().T))
+
+
+def negativity_profile(state: Union[PureState, DensityMatrix]) -> NegativityProfile:
+    """Negativity of every site of a pure or mixed state (qubit
+    normalization), by the factored route.
+
+    The state is factored once, rho = W W^dag with r columns, and each
+    site costs a few r x r and 4r x 4r products and eigensolves.  States
+    with 4r >= 2^n, r read from the validation spectrum, use negativity()
+    on the density matrix instead and are never factored.  The profile
+    is memoized on the state.
+
+    Dropping the factor's small eigenvalues moves each value away from
+    negativity()'s by at most 3 * sum |dropped|: a Hermitian change D
+    moves N by at most ||D^{T_p}||_1 + |Tr D|, and the dropped part has
+    ||D^{T_p}||_1 <= 2 sum |dropped| and |Tr D| <= sum |dropped|.
+    """
+    prof = state._memo.get("negativity")
+    if prof is None:
+        n = state.num_sites
+        w = _factor(state)
+        if w is not None:
+            per_site = tuple(_factored_negativity(w, n, p) for p in range(n))
+        else:
+            rho = state if isinstance(state, DensityMatrix) else density_of(state)
+            per_site = tuple(negativity(rho, p) for p in range(n))
+        prof = state._memo.setdefault("negativity", NegativityProfile(per_site))
+    return prof
 
 
 def bipartite_concurrence_pure(psi: PureState, side_a: Union[int, Iterable[int]]) -> float:
@@ -258,14 +349,14 @@ def kme_concurrence_pure(psi: PureState, k: int) -> MeasureReport:
     return MeasureReport(measure_name=f"C_{k}-ME", value=value, optimal_partition=partition)
 
 
-def nme_lower_bound(rho: DensityMatrix) -> float:
+def nme_lower_bound(state: Union[PureState, DensityMatrix]) -> float:
     """Quadratic mean of the per-site negativities, sqrt(sum_p (N^p)^2 / n).
 
     Lower-bounds the n-ME concurrence of any n-qubit state; equals it
-    exactly on pure states.
+    exactly on pure states.  Uses (and memoizes) negativity_profile.
     """
-    prof = negativity_profile(rho)
-    return float(np.sqrt(sum(v * v for v in prof.per_site) / rho.num_sites))
+    prof = negativity_profile(state)
+    return float(np.sqrt(sum(v * v for v in prof.per_site) / state.num_sites))
 
 
 def one_tangle(psi: PureState, site: int) -> float:

@@ -7,9 +7,14 @@ sum_i q_i * 2^(n-1-i).  Letter labels map as A=0, B=1, C=2, D=3.
 A subsystem set is any iterable of distinct site indices; it is
 canonicalized to a sorted tuple.  All types are immutable after
 construction and every operation is a pure function, so concurrent use
-is safe.  A PureState memoizes quantities derived from its amplitudes
-(the cut-entropy table of measures.kme_concurrence_pure); filling the
-memo twice writes the same values, so it needs no lock.
+is safe.  PureState and DensityMatrix memoize quantities derived from
+their entries in a `_memo` dict that is not part of their identity: the
+cut-entropy table of measures.kme_concurrence_pure, the profile of
+measures.negativity_profile, a density matrix's ascending spectrum from
+validation (negativity_profile reads its rank there) and, for a
+density_of projector, its factor psi (rho = psi psi^dag), which spares
+negativity_profile an eigh.
+Filling a memo twice writes the same values, so it needs no lock.
 """
 from __future__ import annotations
 
@@ -105,6 +110,8 @@ class DensityMatrix:
 
     entries: np.ndarray
     num_sites: int
+    # derived quantities keyed by name; not part of the state's identity
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _frozen_array(self.entries)
@@ -122,9 +129,11 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > NORM_TOL:
             raise InputError(f"trace {tr} not 1 within {NORM_TOL}")
-        low = float(np.linalg.eigvalsh(m)[0])
+        spectrum = np.linalg.eigvalsh(m)
+        low = float(spectrum[0])
         if low < PSD_EIGENVALUE_FLOOR:
             raise InputError(f"eigenvalue {low:.3e} below PSD floor {PSD_EIGENVALUE_FLOOR}")
+        self._memo["spectrum"] = spectrum
 
     @property
     def dim(self) -> int:
@@ -170,8 +179,11 @@ def make_pure(amplitudes: Sequence[complex], num_sites: int) -> PureState:
 
 
 def density_of(psi: PureState) -> DensityMatrix:
-    """Rank-1 projector |psi><psi| as a DensityMatrix."""
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.num_sites)
+    """Rank-1 projector |psi><psi| as a DensityMatrix, with psi (one
+    column) memoized as its factor."""
+    rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.num_sites)
+    rho._memo["factor"] = psi.amplitudes[:, None]
+    return rho
 
 
 def partial_trace(rho: DensityMatrix, keep: Union[int, Iterable[int]]) -> DensityMatrix:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from qent import PureState, make_pure, state_to_json, w
+from qent import PureState, linear_entropy_pure, make_pure, state_to_json, w
+from qent import cli
 from qent.cli import main
 
 
@@ -92,6 +93,40 @@ class TestMeasureCommand:
                     assert printed[row[0]].endswith(f"   (argmin partition {partition})")
                 else:
                     assert row[7] == ""
+
+    def test_pure_n14_negativity_without_projector(self, tmp_path, capsys, monkeypatch):
+        # the 4^14 projector would need 4.3 GB: fail at once if it is built
+        def no_projector(psi):
+            raise AssertionError("density_of called for negativity on pure input")
+
+        monkeypatch.setattr(cli, "density_of", no_projector)
+        n = 14
+        rng = np.random.default_rng(14)
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi = PureState(v / np.linalg.norm(v), n)
+        state = tmp_path / "n14.json"
+        state.write_text(state_to_json(psi))
+        out = tmp_path / "n14.csv"
+        argv = ["measure", "--state", str(state), "--measures", "negativity,nme-bound",
+                "--csv", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        values = {row["relation"]: float(row["lhs"])
+                  for row in csv.DictReader(io.StringIO(out.read_text()))}
+        schmidt = [np.sqrt(2.0 * linear_entropy_pure(psi, p)) for p in range(n)]
+        for p in range(n):
+            assert abs(values[f"N^{p}"] - schmidt[p]) <= 1e-12
+        assert abs(values["nme_lower_bound"] - np.sqrt(np.mean(np.square(schmidt)))) <= 1e-12
+
+    def test_density_built_once_per_state(self, bell_file, capsys, monkeypatch):
+        built = []
+        density_of = cli.density_of
+        monkeypatch.setattr(cli, "density_of", lambda psi: built.append(psi) or density_of(psi))
+        argv = ["measure", "--state", str(bell_file),
+                "--measures", "negativity,two-tangle,nme-bound,wootters"]
+        assert main(argv) == 0
+        assert "two-tangle = 1" in capsys.readouterr().out
+        assert len(built) == 1
 
     def test_malformed_state_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

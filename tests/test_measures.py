@@ -24,6 +24,7 @@ from qent import (
     density_of,
     ghz,
     ghz_noise,
+    ghz_noise_negativity,
     kme_concurrence_pure,
     make_pure,
     negativity,
@@ -39,6 +40,7 @@ from qent import (
     w,
     wootters_concurrence,
 )
+from qent.measures import _factor
 
 BELL = make_pure([1, 0, 0, 1], 2)
 PSI9 = slocc_family(FamilyParams(9))
@@ -65,6 +67,100 @@ class TestNegativity:
                 assert abs(
                     negativity(rho, p) - negativity_trace_norm(rho.entries, p, n)
                 ) <= 1e-9
+
+
+def _random_mixture(rng, n: int, rank: int) -> DensityMatrix:
+    vecs = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
+    vecs /= np.linalg.norm(vecs, axis=0)
+    m = (vecs * rng.dirichlet(np.ones(rank))) @ vecs.conj().T
+    return DensityMatrix((m + m.conj().T) / 2, n)
+
+
+def _product_with_free_site(rng, n: int) -> np.ndarray:
+    """A random qubit, at a random site, times a random state of the rest."""
+    site, rest = random_state_vector(1, rng), random_state_vector(n - 1, rng)
+    t = np.multiply.outer(site, rest.reshape((2,) * (n - 1)))
+    return np.moveaxis(t, 0, int(rng.integers(n))).reshape(-1)
+
+
+class TestFactoredNegativity:
+    """negativity_profile and nme_lower_bound (factored route, transposing
+    when 4 * rank >= 2^n) against the transposing negativity()."""
+
+    @staticmethod
+    def assert_routes_agree(state, rho, tol=1e-12):
+        transposed = [negativity(rho, p) for p in range(rho.num_sites)]
+        factored = negativity_profile(state).per_site
+        assert np.max(np.abs(np.subtract(factored, transposed))) <= tol
+        assert abs(nme_lower_bound(state) - np.sqrt(np.mean(np.square(transposed)))) <= tol
+
+    def test_random_mixtures_of_every_rank(self, rng):
+        for n in range(1, 7):
+            for rank in range(1, 2**n + 1):
+                rho = _random_mixture(rng, n, rank)
+                self.assert_routes_agree(rho, rho)
+                w = _factor(rho)
+                assert w is None if 4 * rank >= 2**n else w.shape == (2**n, rank)
+
+    def test_pure_states_and_their_projectors(self, rng):
+        states = [ghz(n) for n in (2, 3, 5)] + [w(n) for n in (3, 4, 6)]
+        states += [PureState(random_state_vector(n, rng), n) for n in range(1, 7)]
+        for psi in states:
+            rho = density_of(psi)
+            self.assert_routes_agree(rho, rho)
+            self.assert_routes_agree(psi, rho)
+
+    def test_ghz_noise(self):
+        for n in (2, 3, 4, 5):
+            for t in (0.0, 0.2, 0.5, 0.9, 1.0):
+                rho = ghz_noise(n, t)
+                self.assert_routes_agree(rho, rho)
+                per_site = negativity_profile(rho).per_site
+                assert np.max(np.abs(np.subtract(per_site, ghz_noise_negativity(n, t)))) <= 1e-12
+
+    def test_mixtures_with_unentangled_sites(self, rng):
+        # [W0 W1] is rank deficient here; a square root of its Gram in
+        # place of the QR factor splits zero eigenvalues by ~1e-8
+        for n in (5, 6, 7):
+            for _ in range(2):
+                vecs = [ghz(n).amplitudes, w(n).amplitudes]
+                vecs += [_product_with_free_site(rng, n) for _ in range(3)]
+                v = np.array(vecs).T
+                m = (v * rng.dirichlet(np.ones(len(vecs)))) @ v.conj().T
+                rho = DensityMatrix((m + m.conj().T) / 2, n)
+                self.assert_routes_agree(rho, rho)
+
+    @pytest.mark.parametrize("small", [[1.0e-16, 8 * np.finfo(float).eps, -1.0e-16],
+                                       [-0.99e-9, -0.5e-9, 2.0e-15]])
+    def test_dropped_eigenvalues_within_stated_bound(self, rng, small):
+        """Eigenvalues at the factor's floor or at validation's -1e-9 PSD
+        slack are dropped; each value moves by at most 3 * sum |dropped|."""
+        n = 5
+        q = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))[0]
+        big = rng.dirichlet(np.ones(3)) * (1.0 - sum(small))
+        spectrum = np.concatenate([big, small, np.zeros(32 - 3 - len(small))])
+        rho = DensityMatrix((q * spectrum) @ q.conj().T, n)
+        ev = np.linalg.eigvalsh(rho.entries)
+        factored = negativity_profile(rho).per_site
+        dropped = ev[: 32 - _factor(rho).shape[1]]  # None on the fallback route
+        bound = 3.0 * np.abs(dropped).sum() + 1e-12
+        for p in range(n):
+            assert abs(factored[p] - negativity(rho, p)) <= bound
+
+    def test_profile_memoized_and_projector_factor_used(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        rho = _random_mixture(rng, 5, 3)
+        prof = negativity_profile(rho)
+        nme_lower_bound(rho)
+        assert calls == [(32, 32)] and negativity_profile(rho) is prof
+        psi = PureState(random_state_vector(5, rng), 5)
+        rho = density_of(psi)
+        assert np.array_equal(rho._memo["factor"][:, 0], psi.amplitudes)
+        nme_lower_bound(rho)
+        negativity_profile(_random_mixture(rng, 3, 8))  # 4r >= 2^n: never factored
+        assert calls == [(32, 32)]
 
 
 class TestBipartiteConcurrence:
