@@ -16,16 +16,17 @@ qubits (n = 14, k = 7 takes about a minute).
 
 Negativity of qubit p is the trace norm of the partial transpose minus
 one (identically minus twice the sum of negative transposed
-eigenvalues).  negativity(rho, p) takes the transposing route: one
-dense 2^n x 2^n eigvalsh of rho^{T_p}.  negativity_profile and
-nme_lower_bound take the factored route: rho = W W^dag is factored once
-per state (W is psi for a pure state or for density_of(psi); otherwise
-one eigh that keeps the eigenvalues above 8 eps * max(largest, 1)),
-and each site's nonzero transposed spectrum comes from a 4r x 4r
-matrix built from the QR factor of W's rows split by the site, so a
-site costs O(2^n r^2) instead of O(8^n).  States of rank r with
-4r >= 2^n fall back to the transposing route.  The profile is memoized
-on the state.
+eigenvalues).  negativity(rho, p) and transposed_profile(rho) take the
+transposing route: one dense 2^n x 2^n eigvalsh of rho^{T_p} per site.
+negativity_profile and nme_lower_bound take the factored route:
+rho = W W^dag is factored once per state by qstate.density_factor (W is
+psi for a pure state or for density_of(psi); otherwise one eigh that
+keeps the eigenvalues above 8 eps * max(largest, 1)), and each site's
+nonzero transposed spectrum comes from a 4r x 4r matrix built from the
+QR factor of W's rows split by the site, so a site costs O(2^n r^2)
+instead of O(8^n).  States of rank r with 8r >= 2^n, where the
+factored route was measured slower, fall back to transposed_profile.
+The profile is memoized on the state.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from .qstate import (
     DensityMatrix,
     PureState,
     clamped_sqrt,
+    density_factor,
     density_of,
     hermitian_eigenvalues,
     partial_transpose,
@@ -51,6 +53,13 @@ from .qstate import (
 
 # eigenvalues of a partial transpose above this are treated as non-negative
 NEGATIVE_EIGENVALUE_FLOOR = -1e-12
+
+# negativity_profile factors a state of rank r when FACTORED_RANK_RATIO * r
+# < 2^n.  Timed on 2 vCPUs at n = 6..8 for mixed states, the factored route
+# (eigh included) overtook the transposing one between r = 2^n/8 and
+# r = 2^n/5 and took ~1.8x as long at r = 2^n/4; for pure input (no eigh)
+# the two routes break even at n = 4.
+FACTORED_RANK_RATIO = 8
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_SY, _SY)
@@ -119,38 +128,6 @@ def negativity(rho: DensityMatrix, site: int) -> float:
     return _negativity_of_spectrum(hermitian_eigenvalues(partial_transpose(rho, site)))
 
 
-def _first_kept(d: np.ndarray) -> int:
-    """Index of the first of the ascending eigenvalues d above the floor
-    8 eps * max(largest, 1) of _spin_flip_singular_values."""
-    floor = 8.0 * np.finfo(float).eps * max(float(d[-1]), 1.0)
-    return int(np.searchsorted(d, floor, side="right"))
-
-
-def _factor(state: Union[PureState, DensityMatrix]) -> Optional[np.ndarray]:
-    """W with rho = W W^dag and r columns, or None when 4r >= 2^n.
-
-    W is psi (one column) for a pure state and for density_of(psi), which
-    records psi in the matrix's memo.  Any other density matrix takes r
-    from its validation spectrum and, when r is small enough, W from one
-    eigh; both keep only the eigenvalues above _first_kept's floor (the
-    ones below are rounding dust or the PSD slack >= -1e-9 that
-    validation lets through).  W is not memoized: negativity_profile,
-    its one user, memoizes its result.
-    """
-    if isinstance(state, PureState):
-        w = state.amplitudes[:, None]
-    else:
-        w = state._memo.get("factor")
-    if w is None:
-        d = state._memo["spectrum"]
-        if 4 * (d.size - _first_kept(d)) >= d.size:
-            return None
-        d, u = np.linalg.eigh(state.entries)
-        kept = _first_kept(d)
-        w = u[:, kept:] * np.sqrt(d[kept:])
-    return w if 4 * w.shape[1] < w.shape[0] else None
-
-
 def _factored_negativity(w: np.ndarray, n: int, site: int) -> float:
     """Negativity of one site of rho = W W^dag without forming rho.
 
@@ -174,15 +151,21 @@ def _factored_negativity(w: np.ndarray, n: int, site: int) -> float:
     return _negativity_of_spectrum(np.linalg.eigvalsh(r_full[:, swap] @ r_full.conj().T))
 
 
+def transposed_profile(rho: DensityMatrix) -> NegativityProfile:
+    """Negativity of every site of rho by the transposing route,
+    negativity(rho, p) for each p."""
+    return NegativityProfile(tuple(negativity(rho, p) for p in range(rho.num_sites)))
+
+
 def negativity_profile(state: Union[PureState, DensityMatrix]) -> NegativityProfile:
     """Negativity of every site of a pure or mixed state (qubit
     normalization), by the factored route.
 
     The state is factored once, rho = W W^dag with r columns, and each
     site costs a few r x r and 4r x 4r products and eigensolves.  States
-    with 4r >= 2^n, r read from the validation spectrum, use negativity()
-    on the density matrix instead and are never factored.  The profile
-    is memoized on the state.
+    with 8r >= 2^n, r counted in the validation spectrum, take
+    transposed_profile of the density matrix instead and are never
+    factored.  The profile is memoized on the state.
 
     Dropping the factor's small eigenvalues moves each value away from
     negativity()'s by at most 3 * sum |dropped|: a Hermitian change D
@@ -192,13 +175,14 @@ def negativity_profile(state: Union[PureState, DensityMatrix]) -> NegativityProf
     prof = state._memo.get("negativity")
     if prof is None:
         n = state.num_sites
-        w = _factor(state)
+        w = density_factor(state, (2**n - 1) // FACTORED_RANK_RATIO)
         if w is not None:
-            per_site = tuple(_factored_negativity(w, n, p) for p in range(n))
+            prof = NegativityProfile(tuple(_factored_negativity(w, n, p) for p in range(n)))
         else:
-            rho = state if isinstance(state, DensityMatrix) else density_of(state)
-            per_site = tuple(negativity(rho, p) for p in range(n))
-        prof = state._memo.setdefault("negativity", NegativityProfile(per_site))
+            prof = transposed_profile(
+                state if isinstance(state, DensityMatrix) else density_of(state)
+            )
+        prof = state._memo.setdefault("negativity", prof)
     return prof
 
 
@@ -349,14 +333,18 @@ def kme_concurrence_pure(psi: PureState, k: int) -> MeasureReport:
     return MeasureReport(measure_name=f"C_{k}-ME", value=value, optimal_partition=partition)
 
 
+def quadratic_mean(values: tuple[float, ...]) -> float:
+    """sqrt(sum_p v_p^2 / len(values)), summed in order."""
+    return float(np.sqrt(sum(v * v for v in values) / len(values)))
+
+
 def nme_lower_bound(state: Union[PureState, DensityMatrix]) -> float:
     """Quadratic mean of the per-site negativities, sqrt(sum_p (N^p)^2 / n).
 
     Lower-bounds the n-ME concurrence of any n-qubit state; equals it
     exactly on pure states.  Uses (and memoizes) negativity_profile.
     """
-    prof = negativity_profile(state)
-    return float(np.sqrt(sum(v * v for v in prof.per_site) / state.num_sites))
+    return quadratic_mean(negativity_profile(state).per_site)
 
 
 def one_tangle(psi: PureState, site: int) -> float:

@@ -9,19 +9,19 @@ canonicalized to a sorted tuple.  All types are immutable after
 construction and every operation is a pure function, so concurrent use
 is safe.  PureState and DensityMatrix memoize quantities derived from
 their entries in a `_memo` dict that is not part of their identity: the
-cut-entropy table of measures.kme_concurrence_pure, the profile of
-measures.negativity_profile, a density matrix's ascending spectrum from
-validation (negativity_profile reads its rank there) and, for a
-density_of projector, its factor psi (rho = psi psi^dag), which spares
-negativity_profile an eigh.
-Filling a memo twice writes the same values, so it needs no lock.
+cut-entropy table of measures.kme_concurrence_pure and the profile of
+measures.negativity_profile, and here a density matrix's ascending
+spectrum from validation and, for a density_of projector, its factor
+psi (rho = psi psi^dag).  density_factor reads both: the spectrum gives
+the rank without another eigensolve, and a recorded factor spares the
+eigh.  Filling a memo twice writes the same values, so it needs no lock.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -184,6 +184,42 @@ def density_of(psi: PureState) -> DensityMatrix:
     rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.num_sites)
     rho._memo["factor"] = psi.amplitudes[:, None]
     return rho
+
+
+def _first_kept(d: np.ndarray) -> int:
+    """Index of the first of the ascending eigenvalues d above the floor
+    8 eps * max(largest, 1)."""
+    floor = 8.0 * np.finfo(float).eps * max(float(d[-1]), 1.0)
+    return int(np.searchsorted(d, floor, side="right"))
+
+
+def density_factor(
+    state: Union[PureState, DensityMatrix], max_rank: int
+) -> Optional[np.ndarray]:
+    """W with rho = W W^dag for the state's density matrix rho, one
+    column per eigenvalue above 8 eps * max(largest, 1), or None when
+    there are more than max_rank such columns.
+
+    The eigenvalues at or below that floor are rounding dust or the PSD
+    slack >= PSD_EIGENVALUE_FLOOR that validation lets through; W drops
+    them.  W is psi (one column) for a pure state and for density_of(psi),
+    which records psi.  Any other density matrix counts its rank in the
+    spectrum validation computed, so refusing a state of too high a rank
+    costs nothing, and otherwise takes W from one eigh.  W is not
+    memoized.
+    """
+    if isinstance(state, PureState):
+        w = state.amplitudes[:, None]
+    else:
+        w = state._memo.get("factor")
+    if w is None:
+        d = state._memo["spectrum"]
+        if d.size - _first_kept(d) > max_rank:
+            return None
+        d, u = np.linalg.eigh(state.entries)
+        kept = _first_kept(d)
+        w = u[:, kept:] * np.sqrt(d[kept:])
+    return w if w.shape[1] <= max_rank else None
 
 
 def partial_trace(rho: DensityMatrix, keep: Union[int, Iterable[int]]) -> DensityMatrix:

@@ -18,6 +18,12 @@ Relations:
     R7  per-family closed forms and the conditional C_2-ME = min N^p
     R8  W states: k-ME closed form and the pair two-tangle product form
     R9  Schmidt-rank-2 cuts: negativity equals concurrence
+
+R1-R4 and R7 take negativity from the partial transpose of the density
+matrix (measures.transposed_profile), never from negativity_profile:
+for a pure state its factored route works from psi's Schmidt data, the
+same data k-ME is computed from, so R1 would compare two functions of
+one computation.
 """
 from __future__ import annotations
 
@@ -57,11 +63,11 @@ from .invariants import (
     tangles_from_invariants3,
 )
 from .measures import (
-    NegativityProfile,
     _pair_tangle,
     kme_concurrence_pure,
-    negativity,
+    quadratic_mean,
     three_tangle,
+    transposed_profile,
 )
 from .qstate import (
     DensityMatrix,
@@ -234,22 +240,6 @@ def _expect_pure(payload, n: Optional[int]):
         raise IncompatibleInput(f"expected {n} sites, got {payload.num_sites}")
 
 
-def _transposed_profile(rho: DensityMatrix) -> tuple[float, ...]:
-    """Per-site negativities, each from a partial transpose of rho.
-
-    The relations compare k-ME with negativity from the partial
-    transpose, so the suite does not use measures.negativity_profile:
-    for a pure state its factored route works from psi's Schmidt data,
-    the same data k-ME is computed from.
-    """
-    return NegativityProfile(tuple(negativity(rho, p) for p in range(rho.num_sites))).per_site
-
-
-def _transposed_nme(rho: DensityMatrix) -> float:
-    """Quadratic mean of _transposed_profile(rho), as nme_lower_bound."""
-    return float(np.sqrt(sum(v * v for v in _transposed_profile(rho)) / rho.num_sites))
-
-
 # Every checker takes (payload, tol, desc, tangle_tol) with both tolerances
 # already resolved by _run_case, validates its own payload and raises
 # IncompatibleInput on a mismatch.
@@ -258,7 +248,7 @@ def _transposed_nme(rho: DensityMatrix) -> float:
 def _check_r1(psi: PureState, tol: float, desc: str, tangle_tol: float):
     _expect_pure(psi, None)
     lhs = kme_concurrence_pure(psi, psi.num_sites).value
-    rhs = _transposed_nme(density_of(psi))
+    rhs = quadratic_mean(transposed_profile(density_of(psi)).per_site)
     return [_row(RelationId.R1, desc, lhs, rhs, tol)]
 
 
@@ -269,7 +259,7 @@ def _check_r2(ens: Ensemble, tol: float, desc: str, tangle_tol: float):
     lhs = sum(
         p * kme_concurrence_pure(psi, n).value for p, psi in zip(ens.weights, ens.states)
     )
-    rhs = _transposed_nme(ens.density())
+    rhs = quadratic_mean(transposed_profile(ens.density()).per_site)
     return [_row(RelationId.R2, desc, lhs, rhs, tol, inequality=True)]
 
 
@@ -277,13 +267,13 @@ def _check_r3(payload: tuple[int, float], tol: float, desc: str, tangle_tol: flo
     if not (isinstance(payload, tuple) and len(payload) == 2):
         raise IncompatibleInput("R3 expects (n, t)")
     n, tvis = int(payload[0]), float(payload[1])
-    rho = ghz_noise(n, tvis)
+    prof = transposed_profile(ghz_noise(n, tvis)).per_site
     rows = [
         _row(
             RelationId.R3,
             f"{desc} | exact n-ME value",
             ghz_noise_nme_exact(n, tvis),
-            _transposed_nme(rho),
+            quadratic_mean(prof),
             tol,
         )
     ]
@@ -294,7 +284,7 @@ def _check_r3(payload: tuple[int, float], tol: float, desc: str, tangle_tol: flo
                 RelationId.R3,
                 f"{desc} | negativity site {p}",
                 pred,
-                negativity(rho, p),
+                prof[p],
                 tol,
             )
         )
@@ -303,7 +293,7 @@ def _check_r3(payload: tuple[int, float], tol: float, desc: str, tangle_tol: flo
 
 def _check_r4(psi: PureState, tol: float, desc: str, tangle_tol: float):
     _expect_pure(psi, 3)
-    prof = _transposed_profile(density_of(psi))
+    prof = transposed_profile(density_of(psi)).per_site
     rows = [
         _row(
             RelationId.R4,
@@ -316,7 +306,7 @@ def _check_r4(psi: PureState, tol: float, desc: str, tangle_tol: float):
             RelationId.R4,
             f"{desc} | C3 = rms N",
             kme_concurrence_pure(psi, 3).value,
-            float(np.sqrt(sum(v * v for v in prof) / 3.0)),
+            quadratic_mean(prof),
             tol,
         ),
     ]
@@ -372,7 +362,7 @@ def _check_r7(params: FamilyParams, tol: float, desc: str, tangle_tol: float):
     psi = slocc_family(params)
     pred = family_closed_forms(params)
     rho = density_of(psi)
-    direct_neg = _transposed_profile(rho)
+    direct_neg = transposed_profile(rho).per_site
     direct_kme = {k: kme_concurrence_pure(psi, k).value for k in (2, 3, 4)}
     rows = []
     for k, closed in ((2, pred.c2), (3, pred.c3), (4, pred.c4)):

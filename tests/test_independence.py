@@ -23,14 +23,16 @@ SCALE = 1.0 + 1e-6
 MOVED = 1e-8
 
 _KME = "kme_concurrence_pure"
+_NEG = "transposed_profile"
+_NME = {_NEG, "quadratic_mean"}
 # (relation, row label with digits as #) -> (lhs bindings, rhs bindings)
 SIDES = {
-    ("R1", ""): ({_KME}, {"negativity"}),
-    ("R2", ""): ({_KME}, {"negativity"}),
-    ("R3", "exact n-ME value"): ({"ghz_noise_nme_exact"}, {"negativity"}),
-    ("R3", "negativity site #"): ({"ghz_noise_negativity"}, {"negativity"}),
-    ("R4", "C# = min N"): ({_KME}, {"negativity"}),
-    ("R4", "C# = rms N"): ({_KME}, {"negativity"}),
+    ("R1", ""): ({_KME}, _NME),
+    ("R2", ""): ({_KME}, _NME),
+    ("R3", "exact n-ME value"): ({"ghz_noise_nme_exact"}, _NME),
+    ("R3", "negativity site #"): ({"ghz_noise_negativity"}, {_NEG}),
+    ("R4", "C# = min N"): ({_KME}, {_NEG}),
+    ("R4", "C# = rms N"): ({_KME}, _NME),
     ("R5", "C# via invariants"): ({"invariants3", "kme_from_invariants3"}, {_KME}),
     **{
         ("R5", f"tau_{pair} via invariants"): (
@@ -42,8 +44,8 @@ SIDES = {
     ("R5", "C# via tangles"): ({"_pair_tangle", "three_tangle", "clamped_sqrt"}, {_KME}),
     ("R6", "C# via invariants"): ({"invariants4", "kme_from_invariants4"}, {_KME}),
     ("R7", "C# closed form"): ({"family_closed_forms"}, {_KME}),
-    ("R7", "N site # closed form"): ({"family_closed_forms"}, {"negativity"}),
-    ("R7", "C# = min N"): ({_KME}, {"negativity"}),
+    ("R7", "N site # closed form"): ({"family_closed_forms"}, {_NEG}),
+    ("R7", "C# = min N"): ({_KME}, {_NEG}),
     ("R8", "k=#"): ({"w_kme_closed_form"}, {_KME}),
     ("R8", "pair (#,#)"): ({"w_two_tangle"}, {"_pair_tangle"}),
     ("R9", ""): (
@@ -125,17 +127,21 @@ def test_scaling_a_binding_moves_only_its_side(name, baseline, monkeypatch):
             assert (after.lhs, after.rhs) == (before.lhs, before.rhs), where
 
 
-def test_negativity_side_is_the_partial_transpose(monkeypatch):
+def test_negativity_side_is_the_partial_transpose(baseline, monkeypatch):
     """R1-R4 and R7 take negativity from the partial transpose of the
     density matrix, never from the factored route of negativity_profile,
     which for a pure state works from the Schmidt data k-ME uses."""
-    assert verify.negativity is measures.negativity
-    for key, (lhs, rhs) in SIDES.items():
-        if key[0] in ("R1", "R2", "R3", "R4"):
-            assert rhs == {"negativity"}, key
+    assert verify.transposed_profile is measures.transposed_profile
+    negative_rows = {key for key, (lhs, rhs) in SIDES.items() if _NEG in rhs}
+    assert {key[0] for key in negative_rows} == {"R1", "R2", "R3", "R4", "R7"}
 
-    def factored(state):
+    def factored(*args):
         raise AssertionError("the suite reached the factored negativity route")
 
-    monkeypatch.setattr(measures, "_factor", factored)
-    _check_all()
+    monkeypatch.setattr(measures, "_factored_negativity", factored)
+    monkeypatch.setattr(measures, "density_factor", factored)
+    original = measures.negativity
+    monkeypatch.setattr(measures, "negativity", lambda *a: original(*a) * SCALE)
+    for before, after in zip(baseline, _check_all()):
+        moved = abs(after.rhs - before.rhs) > MOVED
+        assert moved == (_key(before) in negative_rows), before.state_descriptor

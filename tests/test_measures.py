@@ -40,7 +40,8 @@ from qent import (
     w,
     wootters_concurrence,
 )
-from qent.measures import _factor
+from qent.measures import FACTORED_RANK_RATIO
+from qent.qstate import density_factor
 
 BELL = make_pure([1, 0, 0, 1], 2)
 PSI9 = slocc_family(FamilyParams(9))
@@ -85,7 +86,7 @@ def _product_with_free_site(rng, n: int) -> np.ndarray:
 
 class TestFactoredNegativity:
     """negativity_profile and nme_lower_bound (factored route, transposing
-    when 4 * rank >= 2^n) against the transposing negativity()."""
+    when 8 * rank >= 2^n) against the transposing negativity()."""
 
     @staticmethod
     def assert_routes_agree(state, rho, tol=1e-12):
@@ -99,8 +100,9 @@ class TestFactoredNegativity:
             for rank in range(1, 2**n + 1):
                 rho = _random_mixture(rng, n, rank)
                 self.assert_routes_agree(rho, rho)
-                w = _factor(rho)
-                assert w is None if 4 * rank >= 2**n else w.shape == (2**n, rank)
+                factored = FACTORED_RANK_RATIO * rank < 2**n
+                w = density_factor(rho, (2**n - 1) // FACTORED_RANK_RATIO)
+                assert w.shape == (2**n, rank) if factored else w is None
 
     def test_pure_states_and_their_projectors(self, rng):
         states = [ghz(n) for n in (2, 3, 5)] + [w(n) for n in (3, 4, 6)]
@@ -135,14 +137,15 @@ class TestFactoredNegativity:
     def test_dropped_eigenvalues_within_stated_bound(self, rng, small):
         """Eigenvalues at the factor's floor or at validation's -1e-9 PSD
         slack are dropped; each value moves by at most 3 * sum |dropped|."""
-        n = 5
-        q = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))[0]
+        n, dim = 6, 64
+        q = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
         big = rng.dirichlet(np.ones(3)) * (1.0 - sum(small))
-        spectrum = np.concatenate([big, small, np.zeros(32 - 3 - len(small))])
+        spectrum = np.concatenate([big, small, np.zeros(dim - 3 - len(small))])
         rho = DensityMatrix((q * spectrum) @ q.conj().T, n)
         ev = np.linalg.eigvalsh(rho.entries)
         factored = negativity_profile(rho).per_site
-        dropped = ev[: 32 - _factor(rho).shape[1]]  # None on the fallback route
+        w = density_factor(rho, (dim - 1) // FACTORED_RANK_RATIO)
+        dropped = ev[: dim - w.shape[1]]  # None on the fallback route
         bound = 3.0 * np.abs(dropped).sum() + 1e-12
         for p in range(n):
             assert abs(factored[p] - negativity(rho, p)) <= bound
@@ -157,9 +160,9 @@ class TestFactoredNegativity:
         assert calls == [(32, 32)] and negativity_profile(rho) is prof
         psi = PureState(random_state_vector(5, rng), 5)
         rho = density_of(psi)
-        assert np.array_equal(rho._memo["factor"][:, 0], psi.amplitudes)
+        assert np.array_equal(density_factor(rho, 1)[:, 0], psi.amplitudes)
         nme_lower_bound(rho)
-        negativity_profile(_random_mixture(rng, 3, 8))  # 4r >= 2^n: never factored
+        negativity_profile(_random_mixture(rng, 5, 4))  # 8r >= 2^n: never factored
         assert calls == [(32, 32)]
 
 
