@@ -15,7 +15,6 @@ from .errors import (
     IndexOutOfRange,
     InputError,
     NotHermitian,
-    NotProperSubset,
     NotUnitary,
     OutOfDomain,
     OutOfRange,
@@ -51,7 +50,6 @@ from .invariants import (
 from .measures import (
     MeasureReport,
     NegativityProfile,
-    bipartite_concurrence_pure,
     kme_concurrence_pure,
     linear_entropy_pure,
     negativity,
@@ -63,7 +61,7 @@ from .measures import (
     two_tangle,
     wootters_concurrence,
 )
-from .partitions import Partition, bipartitions, complement, k_partitions
+from .partitions import Partition, k_partitions
 from .qstate import (
     DensityMatrix,
     PureState,

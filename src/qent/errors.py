@@ -25,10 +25,6 @@ class NotUnitary(QentError):
     """Matrix fails the unitarity tolerance."""
 
 
-class NotProperSubset(QentError):
-    """Subsystem set must be a proper subset of the full site range."""
-
-
 class OutOfRange(QentError):
     """Integer argument outside its documented range."""
 

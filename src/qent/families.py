@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import OutOfDomain, OutOfRange, ZeroVector
-from .qstate import DensityMatrix, PureState, clamped_sqrt, make_pure
+from .qstate import DensityMatrix, PureState, _trusted_density, clamped_sqrt, make_pure
 
 FAMILY_LABELS = {
     1: "G_abcd",
@@ -139,7 +139,7 @@ def ghz_noise(n: int, t: float) -> DensityMatrix:
         raise OutOfRange(f"noise parameter t={t} outside [0, 1]")
     g = ghz(n).amplitudes
     m = (1.0 - t) / 2**n * np.eye(2**n) + t * np.outer(g, g.conj())
-    return DensityMatrix(m, n)
+    return _trusted_density(m, n)
 
 
 def ghz_noise_threshold(n: int) -> float:

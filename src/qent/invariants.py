@@ -45,15 +45,6 @@ class Invariants4:
         if len(self.i4) != 7:
             raise ValueError("Invariants4.i4 must have seven entries")
 
-    @property
-    def pair_purities_derived(self) -> tuple[float, float, float]:
-        """Purities of pairs AB, AC, BC.
-
-        Derived, not independent: for pure states they equal the stored
-        purities of the complementary pairs CD, BD, AD.
-        """
-        return (self.i4[6], self.i4[5], self.i4[4])
-
 
 def _site_purity(psi: PureState, sites: tuple[int, ...]) -> float:
     return purity(reduced_density_pure(psi, sites))

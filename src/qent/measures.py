@@ -42,10 +42,10 @@ from .partitions import MAX_SITES, Partition
 from .qstate import (
     DensityMatrix,
     PureState,
+    _first_kept,
     clamped_sqrt,
     density_factor,
     density_of,
-    hermitian_eigenvalues,
     partial_transpose,
     reduced_density_pure,
     schmidt_weights,
@@ -123,9 +123,10 @@ def negativity(rho: DensityMatrix, site: int) -> float:
 
     Equals ||rho^{T_site}||_1 - 1; computed from the negative eigenvalues
     of the partial transpose, with eigenvalues above -1e-12 treated as
-    zero.
+    zero.  The transpose moves entries (i, j) and (j, i) together, so it
+    is as Hermitian as rho and needs no check of its own.
     """
-    return _negativity_of_spectrum(hermitian_eigenvalues(partial_transpose(rho, site)))
+    return _negativity_of_spectrum(np.linalg.eigvalsh(partial_transpose(rho, site)))
 
 
 def _factored_negativity(w: np.ndarray, n: int, site: int) -> float:
@@ -163,7 +164,7 @@ def negativity_profile(state: Union[PureState, DensityMatrix]) -> NegativityProf
 
     The state is factored once, rho = W W^dag with r columns, and each
     site costs a few r x r and 4r x 4r products and eigensolves.  States
-    with 8r >= 2^n, r counted in the validation spectrum, take
+    with 8r >= 2^n, r counted in the density matrix's spectrum, take
     transposed_profile of the density matrix instead and are never
     factored.  The profile is memoized on the state.
 
@@ -184,11 +185,6 @@ def negativity_profile(state: Union[PureState, DensityMatrix]) -> NegativityProf
             )
         prof = state._memo.setdefault("negativity", prof)
     return prof
-
-
-def bipartite_concurrence_pure(psi: PureState, side_a: Union[int, Iterable[int]]) -> float:
-    """Concurrence sqrt(2 * (1 - Tr rho_A^2)) of a pure state across one cut."""
-    return clamped_sqrt(2.0 * linear_entropy_pure(psi, side_a))
 
 
 def _submasks(positions: list[int]) -> np.ndarray:
@@ -356,22 +352,23 @@ def one_tangle(psi: PureState, site: int) -> float:
     return float(np.real(np.linalg.det(red)) * 4.0)
 
 
-def _spin_flip_singular_values(rho: DensityMatrix) -> np.ndarray:
-    """Descending square roots of the eigenvalues of rho * rho_tilde.
+def _wootters(m: np.ndarray) -> float:
+    """max(0, mu1 - mu2 - mu3 - mu4) over the descending square roots
+    mu_i of the eigenvalues of m * (sigma_y x sigma_y) m* (sigma_y x
+    sigma_y) for a 4 x 4 density matrix m.
 
-    rho_tilde is (sigma_y x sigma_y) rho* (sigma_y x sigma_y).  With the
-    eigendecomposition rho = U D U^dag and W = U sqrt(D), the nonzero
-    eigenvalues of rho * rho_tilde equal the squared singular values of
-    the symmetric matrix W^T (sigma_y x sigma_y) W, so the square roots
-    come straight out of an SVD with no precision loss near zero.
+    With the eigendecomposition m = U D U^dag and W = U sqrt(D), the
+    nonzero eigenvalues of that product equal the squared singular
+    values of the symmetric matrix W^T (sigma_y x sigma_y) W, so the
+    square roots come straight out of an SVD with no precision loss
+    near zero.  Eigenvalues at or below the floor of
+    qstate.density_factor count as zero.
     """
-    d, u = np.linalg.eigh(rho.entries)
-    floor = 8.0 * np.finfo(float).eps * max(float(d[-1]), 1.0)
-    d = np.where(d > floor, d, 0.0)
+    d, u = np.linalg.eigh(m)
+    d[: _first_kept(d)] = 0.0
     w = u * np.sqrt(d)
-    s = w.T @ _SYY @ w
-    sig = np.linalg.svd(s, compute_uv=False)
-    return np.sort(np.concatenate([sig, np.zeros(4 - sig.size)]))[::-1]
+    mu = np.linalg.svd(w.T @ _SYY @ w, compute_uv=False)  # descending
+    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
@@ -380,8 +377,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     rho * (sy x sy) rho* (sy x sy)."""
     if rho.num_sites != 2:
         raise DimensionMismatch(f"need a two-qubit state, got {rho.num_sites} sites")
-    mu = _spin_flip_singular_values(rho)
-    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+    return _wootters(rho.entries)
 
 
 def two_tangle(rho: DensityMatrix) -> float:
@@ -390,8 +386,8 @@ def two_tangle(rho: DensityMatrix) -> float:
 
 
 def _pair_tangle(psi: PureState, pair: tuple[int, int]) -> float:
-    red = DensityMatrix(reduced_density_pure(psi, pair), 2)
-    return two_tangle(red)
+    """Two-tangle of the reduction of psi to a pair of sites."""
+    return _wootters(reduced_density_pure(psi, pair)) ** 2
 
 
 def three_tangle_raw(psi: PureState) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import NotProperSubset, OutOfRange
+from .errors import OutOfRange
 
 # largest n that k_partitions enumerates and kme_concurrence_pure accepts
 MAX_SITES = 14
@@ -98,22 +98,3 @@ def k_partitions(n: int, k: int) -> list[Partition]:
     if n > MAX_SITES:
         raise OutOfRange(f"n={n} exceeds the enumeration cap {MAX_SITES}")
     return list(_iter_rgs(n, k))
-
-
-def bipartitions(n: int) -> list[Partition]:
-    """All 2-block partitions of {0..n-1}; there are 2^(n-1) - 1 of them."""
-    if not isinstance(n, int) or n < 2:
-        raise OutOfRange(f"bipartitions need n >= 2, got {n}")
-    return k_partitions(n, 2)
-
-
-def complement(sites: Iterable[int], n: int) -> tuple[int, ...]:
-    """Sites of {0..n-1} not in `sites`; `sites` must be a proper subset."""
-    s = set(int(x) for x in sites)
-    full = set(range(n))
-    if not s or not s <= full:
-        raise NotProperSubset(f"{sorted(s)} is not a non-empty subset of range({n})")
-    rest = full - s
-    if not rest:
-        raise NotProperSubset(f"{sorted(s)} is the full site range; empty complement")
-    return tuple(sorted(rest))

@@ -7,14 +7,23 @@ sum_i q_i * 2^(n-1-i).  Letter labels map as A=0, B=1, C=2, D=3.
 A subsystem set is any iterable of distinct site indices; it is
 canonicalized to a sorted tuple.  All types are immutable after
 construction and every operation is a pure function, so concurrent use
-is safe.  PureState and DensityMatrix memoize quantities derived from
-their entries in a `_memo` dict that is not part of their identity: the
+is safe.
+
+States are validated once, where they enter qent: the PureState and
+DensityMatrix constructors, and so state_from_json, check what they are
+given.  Density matrices that qent builds from states it already holds
+(density_of, partial_trace, families.ghz_noise, verify.Ensemble.density)
+come from _trusted_density and skip the checks.
+
+PureState and DensityMatrix memoize quantities derived from their
+entries in a `_memo` dict that is not part of their identity: the
 cut-entropy table of measures.kme_concurrence_pure and the profile of
 measures.negativity_profile, and here a density matrix's ascending
-spectrum from validation and, for a density_of projector, its factor
-psi (rho = psi psi^dag).  density_factor reads both: the spectrum gives
-the rank without another eigensolve, and a recorded factor spares the
-eigh.  Filling a memo twice writes the same values, so it needs no lock.
+spectrum and, for a density_of projector, its factor psi
+(rho = psi psi^dag).  Only density_factor reads them: validation
+leaves the spectrum behind, density_factor computes it for a trusted
+matrix on first use, and a recorded factor spares the eigh.  Filling a
+memo twice writes the same values, so it needs no lock.
 """
 from __future__ import annotations
 
@@ -64,6 +73,12 @@ def sites_tuple(sites: Union[int, Iterable[int]], num_sites: int) -> tuple[int, 
     return out
 
 
+def _is_qubit_dim(size: int, num_sites: int) -> bool:
+    """size == 2**num_sites, without forming 2**num_sites for a
+    num_sites that no array size could match."""
+    return size.bit_length() == num_sites + 1 and size == 2**num_sites
+
+
 def _frozen_array(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=complex)
     a.setflags(write=False)
@@ -85,7 +100,7 @@ class PureState:
         n = self.num_sites
         if n < 1:
             raise DimensionMismatch(f"num_sites must be >= 1, got {n}")
-        if amps.ndim != 1 or amps.size != 2**n:
+        if amps.ndim != 1 or not _is_qubit_dim(amps.size, n):
             raise DimensionMismatch(
                 f"amplitude vector of length {amps.size} does not match {n} qubits"
             )
@@ -119,7 +134,7 @@ class DensityMatrix:
         n = self.num_sites
         if n < 1:
             raise DimensionMismatch(f"num_sites must be >= 1, got {n}")
-        if m.ndim != 2 or m.shape != (2**n, 2**n):
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not _is_qubit_dim(m.shape[0], n):
             raise DimensionMismatch(f"matrix shape {m.shape} does not match {n} qubits")
         if not np.isfinite(m).all():
             raise InputError("matrix contains non-finite values (NaN or Inf)")
@@ -168,7 +183,7 @@ def make_pure(amplitudes: Sequence[complex], num_sites: int) -> PureState:
     ZeroVector if the norm is below 1e-12.
     """
     amps = np.asarray(amplitudes, dtype=complex).ravel()
-    if num_sites < 1 or amps.size != 2**num_sites:
+    if num_sites < 1 or not _is_qubit_dim(amps.size, num_sites):
         raise DimensionMismatch(
             f"vector of length {amps.size} does not match {num_sites} qubits"
         )
@@ -178,12 +193,23 @@ def make_pure(amplitudes: Sequence[complex], num_sites: int) -> PureState:
     return PureState(amps / norm, num_sites)
 
 
+def _trusted_density(entries: np.ndarray, num_sites: int, **memo) -> DensityMatrix:
+    """A DensityMatrix of a 2^n x 2^n complex matrix that qent built as
+    one from states it holds, without validation's checks; `entries`
+    must not be written afterwards.  The keyword arguments seed its memo."""
+    rho = object.__new__(DensityMatrix)
+    entries.setflags(write=False)
+    object.__setattr__(rho, "entries", entries)
+    object.__setattr__(rho, "num_sites", num_sites)
+    object.__setattr__(rho, "_memo", memo)
+    return rho
+
+
 def density_of(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| as a DensityMatrix, with psi (one
     column) memoized as its factor."""
-    rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.num_sites)
-    rho._memo["factor"] = psi.amplitudes[:, None]
-    return rho
+    amps = psi.amplitudes
+    return _trusted_density(np.outer(amps, amps.conj()), psi.num_sites, factor=amps[:, None])
 
 
 def _first_kept(d: np.ndarray) -> int:
@@ -203,9 +229,10 @@ def density_factor(
     The eigenvalues at or below that floor are rounding dust or the PSD
     slack >= PSD_EIGENVALUE_FLOOR that validation lets through; W drops
     them.  W is psi (one column) for a pure state and for density_of(psi),
-    which records psi.  Any other density matrix counts its rank in the
-    spectrum validation computed, so refusing a state of too high a rank
-    costs nothing, and otherwise takes W from one eigh.  W is not
+    which records psi.  Any other density matrix counts its rank in its
+    spectrum (the one validation computed, or one eigvalsh memoized on
+    first use for a trusted matrix), so refusing a state of too high a
+    rank costs no eigh, and otherwise takes W from one eigh.  W is not
     memoized.
     """
     if isinstance(state, PureState):
@@ -213,7 +240,9 @@ def density_factor(
     else:
         w = state._memo.get("factor")
     if w is None:
-        d = state._memo["spectrum"]
+        d = state._memo.get("spectrum")
+        if d is None:
+            d = state._memo.setdefault("spectrum", np.linalg.eigvalsh(state.entries))
         if d.size - _first_kept(d) > max_rank:
             return None
         d, u = np.linalg.eigh(state.entries)
@@ -227,15 +256,13 @@ def partial_trace(rho: DensityMatrix, keep: Union[int, Iterable[int]]) -> Densit
     n = rho.num_sites
     keep_t = sites_tuple(keep, n)
     drop = [s for s in range(n) if s not in keep_t]
-    if not drop:
-        return DensityMatrix(rho.entries.copy(), n)
     t = rho.entries.reshape((2,) * (2 * n))
     remaining = n
     for site in sorted(drop, reverse=True):
         t = np.trace(t, axis1=site, axis2=site + remaining)
         remaining -= 1
     dim = 2 ** len(keep_t)
-    return DensityMatrix(t.reshape(dim, dim), len(keep_t))
+    return _trusted_density(t.reshape(dim, dim), len(keep_t))
 
 
 def reduced_density_pure(psi: PureState, keep: Union[int, Iterable[int]]) -> np.ndarray:
@@ -359,7 +386,7 @@ def state_from_json(text: str) -> Union[PureState, DensityMatrix]:
     kind = payload.get("kind")
     try:
         n = int(payload["num_sites"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError("missing or non-integer 'num_sites'") from exc
     try:
         if kind == "pure":

@@ -72,6 +72,7 @@ from .measures import (
 from .qstate import (
     DensityMatrix,
     PureState,
+    _trusted_density,
     clamped_sqrt,
     density_of,
     hermitian_eigenvalues,
@@ -163,7 +164,7 @@ class Ensemble:
         m = np.zeros((2**n, 2**n), dtype=complex)
         for p, psi in zip(self.weights, self.states):
             m += p * np.outer(psi.amplitudes, psi.amplitudes.conj())
-        return DensityMatrix(m, n)
+        return _trusted_density(m, n)
 
 
 def random_pure(n: int, seed: int) -> PureState:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -149,6 +150,43 @@ class TestMeasureCommand:
         bad.write_text(json.dumps({"kind": "pure", "num_sites": 2, "amplitudes": amps}))
         assert main(["measure", "--state", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["pure", "density"])
+    @pytest.mark.parametrize("num_sites", [float("inf"), float("nan"), 1e300, 10**12])
+    def test_unbounded_num_sites_exits_2(self, tmp_path, capsys, kind, num_sites):
+        # 2**num_sites is never formed: it would not fit in memory, or never end
+        payload = {"kind": kind, "num_sites": num_sites, "amplitudes": [[1, 0], [0, 0]],
+                   "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        assert main(["measure", "--state", str(bad), "--measures", "negativity"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,measures", [
+        (2, "kme,negativity,nme-bound,one-tangle,two-tangle,wootters"),
+        (3, "kme,negativity,nme-bound,one-tangle,three-tangle,invariants3"),
+    ])
+    def test_state_at_norm_tolerance(self, tmp_path, capsys, n, measures):
+        """A pure state accepted at |norm - 1| = 9e-10 gets every measure,
+        within 1e-8 of the normalized state's."""
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        v /= np.linalg.norm(v)
+        values = []
+        for scale in (1.0, 1.0 + 9e-10):
+            state, out = tmp_path / f"{scale}.json", tmp_path / f"{scale}.csv"
+            state.write_text(state_to_json(PureState(v * scale, n)))
+            argv = ["measure", "--state", str(state), "--measures", measures, "--csv", str(out)]
+            assert main(argv) == 0, capsys.readouterr().err
+            values.append({row["relation"]: float(row["lhs"])
+                           for row in csv.DictReader(io.StringIO(out.read_text()))})
+        capsys.readouterr()
+        exact, edge = values
+        assert edge.keys() == exact.keys()
+        for key in exact:
+            assert abs(edge[key] - exact[key]) <= 1e-8, key
 
     def test_kme_above_site_cap_exits_2(self, tmp_path, capsys):
         product = np.zeros(2**15, dtype=complex)

@@ -125,7 +125,9 @@ class TestInvariants4:
         direct = tuple(
             purity(reduced_density_pure(psi, pair)) for pair in ((0, 1), (0, 2), (1, 2))
         )
-        assert np.allclose(inv.pair_purities_derived, direct, atol=1e-12)
+        # for a pure state a pair shares its purity with the complementary
+        # pair: AB with CD, AC with BD and BC with AD
+        assert np.allclose((inv.i4[6], inv.i4[5], inv.i4[4]), direct, atol=1e-12)
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):

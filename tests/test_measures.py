@@ -19,13 +19,13 @@ from qent import (
     Partition,
     PureState,
     apply_local_unitary,
-    bipartite_concurrence_pure,
     default_parameter_grid,
     density_of,
     ghz,
     ghz_noise,
     ghz_noise_negativity,
     kme_concurrence_pure,
+    linear_entropy_pure,
     make_pure,
     negativity,
     negativity_profile,
@@ -40,8 +40,8 @@ from qent import (
     w,
     wootters_concurrence,
 )
-from qent.measures import FACTORED_RANK_RATIO
-from qent.qstate import density_factor
+from qent.measures import FACTORED_RANK_RATIO, transposed_profile
+from qent.qstate import clamped_sqrt, density_factor
 
 BELL = make_pure([1, 0, 0, 1], 2)
 PSI9 = slocc_family(FamilyParams(9))
@@ -167,14 +167,17 @@ class TestFactoredNegativity:
 
 
 class TestBipartiteConcurrence:
+    """Pure-state concurrence sqrt(2 * (1 - Tr rho_A^2)) across one cut."""
+
     def test_ghz3(self):
-        assert bipartite_concurrence_pure(ghz(3), (0,)) == pytest.approx(1.0)
+        assert clamped_sqrt(2 * linear_entropy_pure(ghz(3), (0,))) == pytest.approx(1.0)
 
     def test_product(self):
-        assert bipartite_concurrence_pure(make_pure([1, 0, 0, 0], 2), (0,)) == 0.0
+        assert clamped_sqrt(2 * linear_entropy_pure(make_pure([1, 0, 0, 0], 2), (0,))) == 0.0
 
     def test_w3(self):
-        assert bipartite_concurrence_pure(w(3), (0,)) == pytest.approx(2 * np.sqrt(2) / 3)
+        c = clamped_sqrt(2 * linear_entropy_pure(w(3), (0,)))
+        assert c == pytest.approx(2 * np.sqrt(2) / 3)
 
 
 class TestKmeConcurrence:
@@ -321,7 +324,7 @@ class TestOneTangle:
         for n in (2, 3, 4):
             psi = PureState(random_state_vector(n, rng), n)
             for p in range(n):
-                c = bipartite_concurrence_pure(psi, (p,))
+                c = clamped_sqrt(2 * linear_entropy_pure(psi, (p,)))
                 assert abs(one_tangle(psi, p) - c * c) <= 1e-10
 
 
@@ -388,6 +391,27 @@ class TestTangles:
             three_tangle(BELL)
 
 
+class TestStateAtNormTolerance:
+    """A pure state accepted at |norm - 1| = 9e-10 gets every measure,
+    within 1e-8 of the normalized state's: the density matrices qent
+    builds from it are not checked again."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_measures_match_normalized(self, rng, n):
+        v = random_state_vector(n, rng)
+
+        def values(psi):
+            rho = density_of(psi)
+            out = [*negativity_profile(psi).per_site, *negativity_profile(rho).per_site,
+                   *transposed_profile(rho).per_site, nme_lower_bound(psi)]
+            if n == 2:
+                return out + [two_tangle(rho), wootters_concurrence(rho)]
+            return out + [three_tangle_raw(psi), three_tangle(psi)]
+
+        exact, edge = values(PureState(v, n)), values(PureState(v * (1.0 + 9e-10), n))
+        assert np.max(np.abs(np.subtract(edge, exact))) <= 1e-8
+
+
 class TestThreeQubitRelations:
     def test_c2_min_negativity_and_c3_rms(self, rng):
         for _ in range(40):
@@ -407,7 +431,7 @@ class TestSchmidtRankTwo:
             psi = apply_local_unitary(psi, 0, random_local_unitary(int(rng.integers(1 << 30))))
             psi = apply_local_unitary(psi, 1, random_local_unitary(int(rng.integers(1 << 30))))
             n_val = negativity(density_of(psi), 0)
-            c_val = bipartite_concurrence_pure(psi, (0,))
+            c_val = clamped_sqrt(2 * linear_entropy_pure(psi, (0,)))
             assert abs(n_val - c_val) <= 1e-9
 
 

@@ -1,7 +1,7 @@
 import pytest
 from oracles import bell_number, k_partitions_brute, stirling2
 
-from qent import NotProperSubset, OutOfRange, Partition, bipartitions, complement, k_partitions
+from qent import OutOfRange, Partition, k_partitions
 
 
 class TestKPartitions:
@@ -59,36 +59,7 @@ class TestKPartitions:
 class TestBipartitions:
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 3), (4, 7), (5, 15)])
     def test_counts(self, n, count):
-        parts = bipartitions(n)
-        assert len(parts) == count == 2 ** (n - 1) - 1
-        assert parts == k_partitions(n, 2)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            bipartitions(1)
-
-
-class TestComplement:
-    def test_basic(self):
-        assert complement((0,), 3) == (1, 2)
-        assert complement((1, 3), 4) == (0, 2)
-
-    def test_full_set_rejected(self):
-        with pytest.raises(NotProperSubset):
-            complement((0, 1, 2), 3)
-
-    def test_not_subset_rejected(self):
-        with pytest.raises(NotProperSubset):
-            complement((0, 5), 3)
-        with pytest.raises(NotProperSubset):
-            complement((), 3)
-
-    def test_disjoint_union(self):
-        for n in (3, 4, 5):
-            for sub in ((0,), (1, 2), tuple(range(n - 1))):
-                rest = complement(sub, n)
-                assert sorted(set(sub) | set(rest)) == list(range(n))
-                assert not set(sub) & set(rest)
+        assert len(k_partitions(n, 2)) == count == 2 ** (n - 1) - 1
 
 
 class TestPartitionType:

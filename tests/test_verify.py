@@ -7,6 +7,7 @@ import pytest
 
 from qent import (
     ConfigError,
+    DensityMatrix,
     Ensemble,
     FamilyParams,
     IncompatibleInput,
@@ -16,7 +17,9 @@ from qent import (
     SuiteConfig,
     check,
     ghz,
+    ghz_noise,
     make_pure,
+    negativity_profile,
     purity,
     random_ensemble,
     random_local_unitary,
@@ -25,6 +28,9 @@ from qent import (
     run_suite,
     slocc_family,
 )
+
+from qent.measures import FACTORED_RANK_RATIO, transposed_profile
+from qent.qstate import density_factor
 
 REFERENCE_CSV = (
     Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "suite_seed7.csv"
@@ -295,3 +301,50 @@ class TestEnsembleType:
         from qent import ghz_noise
 
         assert np.allclose(ens.density().entries, ghz_noise(n, t).entries)
+
+    def test_weights_and_states_at_tolerance(self):
+        """Weights summing to 1 + 9e-10 over states of norm 1 + 9e-10: R2
+        runs, within 1e-8 of the normalized ensemble."""
+        exact = random_ensemble(3, 2, 5)
+        edge = Ensemble(
+            (exact.weights[0] + 9e-10, exact.weights[1]),
+            tuple(PureState(psi.amplitudes * (1.0 + 9e-10), 3) for psi in exact.states),
+        )
+        assert abs(sum(edge.weights) - (1.0 + 9e-10)) <= 1e-15
+        (want,), (got,) = check("R2", exact), check("R2", edge)
+        assert got.verdict == want.verdict
+        assert abs(got.lhs - want.lhs) <= 1e-8 and abs(got.rhs - want.rhs) <= 1e-8
+
+
+class TestTrustBoundary:
+    """States are validated where they enter; the density matrices qent
+    builds from states it holds are not validated again."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        validate = DensityMatrix.__post_init__
+        monkeypatch.setattr(
+            DensityMatrix, "__post_init__", lambda rho: calls.append(rho) or validate(rho)
+        )
+        DensityMatrix(np.eye(2, dtype=complex) / 2, 1)  # the counter is live
+        assert len(calls) == 1
+        calls.clear()
+        return calls
+
+    def test_default_suite_validates_no_density_matrix(self, validations):
+        run_suite(SuiteConfig.default(seed=7))
+        assert validations == []
+
+    @pytest.mark.parametrize("build,factored", [
+        (lambda: random_mixed(6, 3, 17), True),  # rank 3: spectrum computed on first use
+        (lambda: ghz_noise(4, 0.6), False),  # full rank: transposing fallback
+    ], ids=["random_mixed", "ghz_noise"])
+    def test_profile_of_trusted_density(self, validations, build, factored):
+        rho = build()
+        w = density_factor(rho, (2**rho.num_sites - 1) // FACTORED_RANK_RATIO)
+        assert (w is not None) == factored
+        got = negativity_profile(rho).per_site
+        want = transposed_profile(rho).per_site
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+        assert validations == []
