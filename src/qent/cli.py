@@ -15,6 +15,7 @@ from .errors import InputError, QentError
 from .families import FAMILY_LABELS, FamilyParams, family_closed_forms, slocc_family
 from .invariants import invariants3, invariants4
 from .measures import (
+    _two_qubits,
     kme_concurrence_pure,
     negativity_profile,
     nme_lower_bound,
@@ -144,8 +145,8 @@ def _report(state, descriptor: str, measures: list[str], ks, csv_path) -> int:
         if takes == _AS_GIVEN:
             target = state
         elif takes == _DENSITY:
-            if density is None:
-                density = density_of(state)
+            if density is None:  # no 4^n projector for a state the measure refuses
+                density = density_of(_two_qubits(state))
             target = density
         else:
             target = _require_pure(state, takes)
@@ -246,23 +247,19 @@ def _cmd_verify(args) -> int:
     if args.suite:
         with open(args.suite, "r", encoding="utf-8") as fh:
             config = SuiteConfig.from_json(fh.read())
-        if args.seed is not None:
-            config = SuiteConfig(seed=args.seed, relations=config.relations)
     else:
-        config = SuiteConfig.default(seed=args.seed if args.seed is not None else 7)
+        config = SuiteConfig()
+    if args.seed is not None:
+        config = SuiteConfig(args.seed, config.relations)
     if args.grid:
         if args.grid_family is None:
             raise InputError("--grid requires --grid-family")
-        relations = {k: dict(v) for k, v in config.relations.items()}
-        r7 = relations.setdefault("R7", {})
-        grids = dict(r7.get("grids") or {})
-        grids[str(args.grid_family)] = [_parse_grid_spec(spec) for spec in args.grid]
-        r7["grids"] = grids
-        families = list(r7.get("families", []))
-        if args.grid_family not in families:
-            families.append(args.grid_family)
-            r7["families"] = families
-        config = SuiteConfig(seed=config.seed, relations=relations)
+        fam = args.grid_family
+        r7 = config.relations.get("R7", {"families": [], "grids": None})
+        families = r7["families"] if fam in r7["families"] else r7["families"] + [fam]
+        grids = {**(r7["grids"] or {}), str(fam): [_parse_grid_spec(g) for g in args.grid]}
+        override = {**r7, "families": families, "grids": grids}
+        config = SuiteConfig(config.seed, {**config.relations, "R7": override})
     report = run_suite(config)
     print(report.to_text(), end="")
     if args.csv:

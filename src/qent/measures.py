@@ -371,13 +371,18 @@ def _wootters(m: np.ndarray) -> float:
     return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
 
 
+def _two_qubits(state):
+    """state; DimensionMismatch unless it has two qubits."""
+    if state.num_sites != 2:
+        raise DimensionMismatch(f"need a two-qubit state, got {state.num_sites} sites")
+    return state
+
+
 def wootters_concurrence(rho: DensityMatrix) -> float:
     """Two-qubit mixed-state concurrence, max(0, mu1 - mu2 - mu3 - mu4)
     over the descending square roots mu_i of the spectrum of
     rho * (sy x sy) rho* (sy x sy)."""
-    if rho.num_sites != 2:
-        raise DimensionMismatch(f"need a two-qubit state, got {rho.num_sites} sites")
-    return _wootters(rho.entries)
+    return _wootters(_two_qubits(rho).entries)
 
 
 def two_tangle(rho: DensityMatrix) -> float:

@@ -73,10 +73,13 @@ def sites_tuple(sites: Union[int, Iterable[int]], num_sites: int) -> tuple[int, 
     return out
 
 
-def _is_qubit_dim(size: int, num_sites: int) -> bool:
-    """size == 2**num_sites, without forming 2**num_sites for a
-    num_sites that no array size could match."""
-    return size.bit_length() == num_sites + 1 and size == 2**num_sites
+def _check_qubit_shape(what: str, shape: tuple, ndim: int, n: int) -> None:
+    """DimensionMismatch unless shape is ndim axes of 2**n each, n >= 1.
+    2**n is never formed for an n that no axis could match, and the
+    message cuts a huge n short."""
+    if n < 1 or len(shape) != ndim or any(d.bit_length() != n + 1 or d != 2**n for d in shape):
+        shown = n if abs(n) < 10**12 else f"{str(n)[:12]}..."
+        raise DimensionMismatch(f"{what} of shape {shape} does not match {shown} qubits")
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -97,13 +100,7 @@ class PureState:
     def __post_init__(self):
         amps = _frozen_array(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
-        n = self.num_sites
-        if n < 1:
-            raise DimensionMismatch(f"num_sites must be >= 1, got {n}")
-        if amps.ndim != 1 or not _is_qubit_dim(amps.size, n):
-            raise DimensionMismatch(
-                f"amplitude vector of length {amps.size} does not match {n} qubits"
-            )
+        _check_qubit_shape("amplitude vector", amps.shape, 1, self.num_sites)
         if not np.isfinite(amps).all():
             raise InputError("amplitudes contain non-finite values (NaN or Inf)")
         norm = float(np.linalg.norm(amps))
@@ -131,11 +128,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = _frozen_array(self.entries)
         object.__setattr__(self, "entries", m)
-        n = self.num_sites
-        if n < 1:
-            raise DimensionMismatch(f"num_sites must be >= 1, got {n}")
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or not _is_qubit_dim(m.shape[0], n):
-            raise DimensionMismatch(f"matrix shape {m.shape} does not match {n} qubits")
+        _check_qubit_shape("matrix", m.shape, 2, self.num_sites)
         if not np.isfinite(m).all():
             raise InputError("matrix contains non-finite values (NaN or Inf)")
         herm = float(np.max(np.abs(m - m.conj().T)))
@@ -183,10 +176,7 @@ def make_pure(amplitudes: Sequence[complex], num_sites: int) -> PureState:
     ZeroVector if the norm is below 1e-12.
     """
     amps = np.asarray(amplitudes, dtype=complex).ravel()
-    if num_sites < 1 or not _is_qubit_dim(amps.size, num_sites):
-        raise DimensionMismatch(
-            f"vector of length {amps.size} does not match {num_sites} qubits"
-        )
+    _check_qubit_shape("vector", amps.shape, 1, num_sites)
     norm = float(np.linalg.norm(amps))
     if norm < 1e-12:
         raise ZeroVector("cannot normalize a (near-)zero vector")
@@ -379,14 +369,17 @@ def state_from_json(text: str) -> Union[PureState, DensityMatrix]:
     """Parse the interchange JSON format, rejecting out-of-tolerance input."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "kind" not in payload:
         raise InputError("state JSON must be an object with a 'kind' field")
     kind = payload.get("kind")
-    try:
-        n = int(payload["num_sites"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    n = payload.get("num_sites")
+    try:  # 3, 3.0 and "3" are 3; 3.7, "3.0" and true are refused
+        if isinstance(n, bool) or not float(n).is_integer():
+            raise ValueError(n)
+        n = int(n)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError("missing or non-integer 'num_sites'") from exc
     try:
         if kind == "pure":
@@ -402,7 +395,7 @@ def state_from_json(text: str) -> Union[PureState, DensityMatrix]:
             return DensityMatrix(m, n)
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed state payload: {exc}") from exc
     raise InputError(f"unknown state kind {kind!r}")
 

@@ -5,7 +5,9 @@ maps to one checker in _CHECKERS; _run_case() is the only dispatch.
 check() evaluates one relation on one input and returns one result row
 per sub-relation.  run_suite() drives a configurable batch over fixed
 anchor states plus seeded random families through the same dispatch,
-serially, and aggregates a deterministic report.
+serially, and aggregates a deterministic report.  Its SuiteConfig is
+checked in full when built, against the keys and defaults declared once
+in _DEFAULT_RELATIONS, so _suite_cases only generates cases.
 
 Relations:
     R1  pure n-qubit identity: C_n-ME equals the negativity quadratic mean
@@ -27,10 +29,12 @@ one computation.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import io
+import itertools
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -86,7 +90,7 @@ TOL_EQUALITY = 1e-9
 TOL_TANGLE = 1e-8
 TOL_FAMILY = 1e-8
 
-# most qubits of a random suite state, an R3 size or an R9 cut (na + nb)
+# most qubits of a random suite state, a `sizes` entry or an R9 cut (na + nb)
 SUITE_MAX_SITES = 8
 
 VERDICT_PASS = "pass"
@@ -167,11 +171,18 @@ class Ensemble:
         return _trusted_density(m, n)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """default_rng(seed); OutOfRange unless seed is a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise OutOfRange(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def random_pure(n: int, seed: int) -> PureState:
     """Haar-like random pure state from a seeded complex-normal vector."""
     if not 1 <= n <= SUITE_MAX_SITES:
         raise OutOfRange(f"random_pure supports 1 <= n <= {SUITE_MAX_SITES}, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return PureState(v / np.linalg.norm(v), n)
 
@@ -183,7 +194,7 @@ def random_ensemble(n: int, rank: int, seed: int) -> Ensemble:
         raise OutOfRange(f"random_ensemble supports 1 <= n <= {SUITE_MAX_SITES}, got {n}")
     if not 1 <= rank <= 2**n:
         raise OutOfRange(f"rank must be in [1, 2^n], got {rank}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     states = []
     for _ in range(rank):
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -199,7 +210,7 @@ def random_mixed(n: int, rank: int, seed: int) -> DensityMatrix:
 
 def random_local_unitary(seed: int) -> np.ndarray:
     """Haar-random 2x2 unitary (QR of a complex-normal matrix)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -503,28 +514,18 @@ def _describe_payload(rel: RelationId, payload) -> str:
 # ---------------------------------------------------------------------------
 # suite configuration and execution
 
+# every key a relation's spec accepts, with its default
 _DEFAULT_RELATIONS: dict[str, dict] = {
-    "R1": {"sizes": [2, 3, 4, 5], "samples": 15},
-    "R2": {"sizes": [2, 3], "ranks": [2, 3], "samples": 8},
-    "R3": {"sizes": [2, 3, 4, 5], "t_points": 21, "random_t": 5},
-    "R4": {"samples": 60},
-    "R5": {"samples": 60},
-    "R6": {"samples": 60},
-    "R7": {"families": [1, 2, 3, 4, 5, 6, 7, 8, 9], "random_points": 4},
-    "R8": {"sizes": [3, 4, 5, 6], "samples": 8},
-    "R9": {"samples": 25, "cuts": [[1, 1], [1, 2], [2, 2], [1, 3]]},
-}
-
-_ALLOWED_KEYS: dict[str, set[str]] = {
-    "R1": {"sizes", "samples", "tolerance"},
-    "R2": {"sizes", "ranks", "samples", "tolerance"},
-    "R3": {"sizes", "t_points", "random_t", "tolerance"},
-    "R4": {"samples", "tolerance"},
-    "R5": {"samples", "tolerance", "tangle_tolerance"},
-    "R6": {"samples", "tolerance"},
-    "R7": {"families", "random_points", "tolerance", "grids"},
-    "R8": {"sizes", "samples", "tolerance", "tangle_tolerance"},
-    "R9": {"samples", "cuts", "tolerance"},
+    "R1": {"sizes": [2, 3, 4, 5], "samples": 15, "tolerance": None},
+    "R2": {"sizes": [2, 3], "ranks": [2, 3], "samples": 8, "tolerance": None},
+    "R3": {"sizes": [2, 3, 4, 5], "t_points": 21, "random_t": 5, "tolerance": None},
+    "R4": {"samples": 60, "tolerance": None},
+    "R5": {"samples": 60, "tolerance": None, "tangle_tolerance": None},
+    "R6": {"samples": 60, "tolerance": None},
+    "R7": {"families": [1, 2, 3, 4, 5, 6, 7, 8, 9], "random_points": 4, "grids": None,
+           "tolerance": None},
+    "R8": {"sizes": [3, 4, 5, 6], "samples": 8, "tolerance": None, "tangle_tolerance": None},
+    "R9": {"samples": 25, "cuts": [[1, 1], [1, 2], [2, 2], [1, 3]], "tolerance": None},
 }
 
 
@@ -533,29 +534,29 @@ def _is_int(value) -> bool:
 
 
 def _check_spec_value(name: str, key: str, value) -> None:
-    """Raise ConfigError unless a relation spec value has the type its key
-    needs (grids are checked when the suite cases are built)."""
+    """Raise ConfigError unless a relation spec value is what its key
+    needs (grids are checked by SuiteConfig, against the spec's families)."""
     if key in ("samples", "t_points", "random_t", "random_points"):
         ok, need = _is_int(value) and value >= 0, "a non-negative integer"
     elif key in ("sizes", "ranks", "families"):
         ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
         need = "a list of integers"
-        if (name, key) == ("R3", "sizes"):  # R3 builds a 4^n density matrix per size
+        if key == "sizes":  # a size n builds 2^n-entry states or a 4^n density matrix
             ok = ok and all(v <= SUITE_MAX_SITES for v in value)
             need = f"a list of integers <= {SUITE_MAX_SITES}"
+        elif key == "families":
+            ok = ok and all(v in FAMILY_LABELS for v in value)
+            need = f"a list of family ids from {sorted(FAMILY_LABELS)}"
     elif key == "cuts":
         ok = isinstance(value, (list, tuple)) and all(
             isinstance(c, (list, tuple)) and len(c) == 2 and all(_is_int(v) and v >= 1 for v in c)
-            and sum(c) <= SUITE_MAX_SITES  # R9 builds the projector of each cut
+            and sum(c) <= SUITE_MAX_SITES  # a cut builds a 4^(na + nb) projector
             for c in value
         )
         need = f"a list of [na, nb] pairs with na, nb >= 1 and na + nb <= {SUITE_MAX_SITES}"
     elif key in ("tolerance", "tangle_tolerance"):
         ok = value is None or (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-            and value > 0
+            (_is_int(value) or isinstance(value, float)) and 0 < value <= sys.float_info.max
         )
         need = "a positive finite number"
     else:
@@ -565,15 +566,22 @@ def _check_spec_value(name: str, key: str, value) -> None:
 
 
 def _complex_from_config(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value)
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(float(value[0]), float(value[1]))
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise ConfigError(f"grid value {value!r} must be a number or an [re, im] pair")
 
 
-def _family_grid_points(fam: int, per_parameter: list) -> list[FamilyParams]:
-    """Cartesian product of per-parameter value lists into FamilyParams."""
+def _custom_grid(grids: dict, fam: int) -> Optional[list[FamilyParams]]:
+    """FamilyParams of the product of the value lists that `grids` holds for
+    family `fam` (under the id or its string), one per parameter; or None."""
+    per_parameter = grids.get(str(fam), grids.get(fam))
+    if per_parameter is None:
+        return None
     nparams = FAMILY_PARAM_COUNTS[fam]
     if not isinstance(per_parameter, list) or not per_parameter:
         raise ConfigError(f"family {fam} grid must be a non-empty list per parameter")
@@ -586,20 +594,22 @@ def _family_grid_points(fam: int, per_parameter: list) -> list[FamilyParams]:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"family {fam} grid axis must be a non-empty list")
         axes.append([_complex_from_config(v) for v in values])
-    points = [()]
-    for axis in axes:
-        points = [combo + (v,) for combo in points for v in axis]
-    return [FamilyParams(fam, *combo) for combo in points]
+    return [FamilyParams(fam, *combo) for combo in itertools.product(*axes)]
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """The seed and the relations of one suite run, checked in full when
+    built (ConfigError).  `relations` lists names, or maps each name to a
+    spec of keys from _DEFAULT_RELATIONS, whose defaults fill the rest;
+    the config keeps its own copy of every spec."""
+
     seed: int = 7
-    relations: dict = field(default_factory=lambda: dict(_DEFAULT_RELATIONS))
+    relations: Union[dict, list] = field(default_factory=lambda: list(_DEFAULT_RELATIONS))
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         normalized: dict[str, dict] = {}
         rels = self.relations
         if isinstance(rels, (list, tuple)):
@@ -607,19 +617,23 @@ class SuiteConfig:
         if not isinstance(rels, dict):
             raise ConfigError("relations must be a list or an object")
         for name, spec in rels.items():
-            if name not in _ALLOWED_KEYS:
+            if name not in _DEFAULT_RELATIONS:
                 raise ConfigError(f"unknown relation {name!r}")
             if spec is None:
                 spec = {}
             if not isinstance(spec, dict):
                 raise ConfigError(f"relation {name} spec must be an object")
-            bad = set(spec) - _ALLOWED_KEYS[name]
+            bad = set(spec) - set(_DEFAULT_RELATIONS[name])
             if bad:
                 raise ConfigError(f"relation {name} has unknown keys {sorted(bad)}")
             for key, value in spec.items():
                 _check_spec_value(name, key, value)
-            merged = dict(_DEFAULT_RELATIONS[name])
-            merged.update(spec)
+            merged = copy.deepcopy({**_DEFAULT_RELATIONS[name], **spec})
+            grids = merged.get("grids") or {}
+            if not isinstance(grids, dict):
+                raise ConfigError(f"{name} grids must map family id to per-parameter lists")
+            for fam in merged.get("families", ()):
+                _custom_grid(grids, fam)
             normalized[name] = merged
         object.__setattr__(self, "relations", normalized)
 
@@ -631,19 +645,14 @@ class SuiteConfig:
     def from_json(cls, text: str) -> "SuiteConfig":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
             raise ConfigError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError("suite config must be a JSON object")
         bad = set(payload) - {"seed", "relations"}
         if bad:
             raise ConfigError(f"unknown top-level keys {sorted(bad)}")
-        kwargs = {}
-        if "seed" in payload:
-            kwargs["seed"] = payload["seed"]
-        if "relations" in payload:
-            kwargs["relations"] = payload["relations"]
-        return cls(**kwargs)
+        return cls(**payload)
 
 
 def _suite_cases(config: SuiteConfig):
@@ -656,7 +665,7 @@ def _suite_cases(config: SuiteConfig):
 
     for name, spec in sorted(config.relations.items()):
         rel = RelationId(name)
-        tol = spec.get("tolerance")
+        tol = spec["tolerance"]
         ttol = spec.get("tangle_tolerance")
 
         def add(payload, desc: str):
@@ -699,18 +708,8 @@ def _suite_cases(config: SuiteConfig):
             for i in range(spec["samples"]):
                 add(random_pure(4, seed_for(6, i)), f"random n=4 #{i:03d}")
         elif rel is RelationId.R7:
-            grids = spec.get("grids") or {}
-            if not isinstance(grids, dict):
-                raise ConfigError("R7 grids must map family id to per-parameter lists")
             for fam in spec["families"]:
-                if fam not in FAMILY_LABELS:
-                    raise ConfigError(f"unknown family id {fam}")
-                custom = grids.get(str(fam), grids.get(fam))
-                points = (
-                    _family_grid_points(fam, custom)
-                    if custom is not None
-                    else default_parameter_grid(fam)
-                )
+                points = _custom_grid(spec["grids"] or {}, fam) or default_parameter_grid(fam)
                 for i, params in enumerate(points):
                     add(params, f"family {fam} grid #{i:02d}")
                 rng = np.random.default_rng(seed_for(7, fam))

@@ -164,6 +164,44 @@ class TestMeasureCommand:
         assert time.perf_counter() - start < 1.0
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("num_sites,size,code", [
+        (3.7, 8, 2), (True, 2, 2), (3, 8, 0), (3.0, 8, 0), ("3", 8, 0),
+    ])
+    def test_num_sites_must_be_integral(self, tmp_path, capsys, num_sites, size, code):
+        amps = [[1, 0]] + [[0, 0]] * (size - 1)
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"kind": "pure", "num_sites": num_sites, "amplitudes": amps}))
+        assert main(["measure", "--state", str(state), "--measures", "negativity"]) == code
+        assert ("error:" in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "pure", "num_sites": 1e300, "amplitudes": [[1, 0], [0, 0]]}',
+        '{"kind": "pure", "num_sites": 1, "amplitudes": [[%s, 0], [0, 0]]}' % ("1" * 400),
+        '{"kind": "density", "num_sites": 1, "matrix": [[[%s, 0], [0, 0]], [[0, 0], [0, 0]]]}'
+        % ("1" * 400),
+        '{"kind": "pure", "num_sites": %s, "amplitudes": [[1, 0], [0, 0]]}' % ("1" * 5000),
+    ])
+    def test_huge_numbers_exit_2_with_short_error(self, tmp_path, capsys, text):
+        state = tmp_path / "huge.json"
+        state.write_text(text)
+        assert main(["measure", "--state", str(state), "--measures", "negativity"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err) < 200, err
+
+    @pytest.mark.parametrize("measure", ["two-tangle", "wootters"])
+    def test_two_qubit_measure_refused_before_projector(self, tmp_path, capsys, monkeypatch,
+                                                        measure):
+        def no_projector(psi):
+            raise AssertionError("density_of called for a state of more than two qubits")
+
+        monkeypatch.setattr(cli, "density_of", no_projector)
+        product = np.zeros(2**11, dtype=complex)
+        product[0] = 1.0
+        state = tmp_path / "n11.json"
+        state.write_text(state_to_json(PureState(product, 11)))
+        assert main(["measure", "--state", str(state), "--measures", measure]) == 2
+        assert "need a two-qubit state, got 11 sites" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n,measures", [
         (2, "kme,negativity,nme-bound,one-tangle,two-tangle,wootters"),
         (3, "kme,negativity,nme-bound,one-tangle,three-tangle,invariants3"),
@@ -268,6 +306,12 @@ class TestRandomCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "density"
 
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_negative_seed_exits_2(self, capsys, kind):
+        assert main(["random", "--kind", kind, "--sites", "3", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_small_suite_exit_0(self, tmp_path, capsys):
@@ -308,9 +352,12 @@ class TestVerifyCommand:
             {"R9": {"cuts": [[0, 1]]}},
             {"R3": {"sizes": [9]}},
             {"R9": {"cuts": [[5, 5]]}},
+            {"R8": {"sizes": [9]}},
+            {"R8": {"sizes": [40]}},
         ]
         texts = ["{definitely not json"]
         texts += [json.dumps({"relations": rels}) for rels in bad_relations]
+        texts += [json.dumps({"seed": -1}), json.dumps({"seed": True})]
         suite = tmp_path / "bad.json"
         for text in texts:
             suite.write_text(text)
@@ -347,6 +394,29 @@ class TestVerifyCommand:
         )
         out = capsys.readouterr().out
         assert "64" in out  # 4 x 2 grid points x 8 sub-checks
+
+    @pytest.mark.parametrize("relations,expected", [
+        # no R7: it runs family 6 alone, with the default four random points
+        ({"R9": {"samples": 0}},
+         {"bell cut 1|1", "family 6 grid #00", "family 6 grid #01"}
+         | {f"family 6 random #{i:02d}" for i in range(4)}),
+        # an R7 spec keeps its families, random points and tolerance
+        ({"R7": {"families": [9], "random_points": 1, "tolerance": 1e-7}},
+         {"family 9 grid #00", "family 6 grid #00", "family 6 grid #01",
+          "family 6 random #00"}),
+    ])
+    def test_grid_flags_merge_into_the_suite(self, tmp_path, capsys, relations, expected):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"relations": relations}))
+        out = tmp_path / "report.csv"
+        argv = ["verify", "--suite", str(suite), "--grid-family", "6", "--grid", "re:0:1:2",
+                "--csv", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert {row["state_descriptor"].split(" | ")[0] for row in rows} == expected
+        tolerance = relations.get("R7", {}).get("tolerance", 1e-8)
+        assert {float(row["tolerance"]) for row in rows if row["relation"] == "R7"} == {tolerance}
 
     def test_grid_requires_family(self, capsys):
         assert main(["verify", "--default", "--grid", "re:0:1:2"]) == 2

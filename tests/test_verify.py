@@ -61,6 +61,13 @@ class TestRandomSources:
         with pytest.raises(OutOfRange):
             random_ensemble(3, 9, 1)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        for make in (lambda: random_pure(3, seed), lambda: random_ensemble(3, 2, seed),
+                     lambda: random_local_unitary(seed)):
+            with pytest.raises(OutOfRange):
+                make()
+
     def test_local_unitary_is_unitary(self):
         u = random_local_unitary(7)
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
@@ -163,6 +170,37 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError):
             SuiteConfig.from_json('{"unknown_top": 1}')
 
+    @pytest.mark.parametrize("seed", [-1, True, 7.0])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError):
+            SuiteConfig(seed=seed)
+
+    def test_configs_share_no_lists(self):
+        SuiteConfig.default().relations["R1"]["sizes"].append(6)
+        assert SuiteConfig.default().relations["R1"]["sizes"] == [2, 3, 4, 5]
+        grids = {"6": [[0.5]]}
+        spec = {"families": [6], "grids": grids}
+        config = SuiteConfig(relations={"R7": spec})
+        config.relations["R7"]["families"].append(5)
+        config.relations["R7"]["grids"]["6"][0].append(1.0)
+        assert spec == {"families": [6], "grids": {"6": [[0.5]]}}
+        assert SuiteConfig(relations={"R7": spec}).relations["R7"]["families"] == [6]
+
+    @pytest.mark.parametrize("relations", [
+        {"R7": {"families": [10]}},
+        {"R7": {"families": [6], "grids": {"6": [[["a", 0]]]}}},
+        {"R7": {"families": [6], "grids": {"6": [[[None, 0]]]}}},
+        {"R7": {"families": [6], "grids": {"6": [[10**400]]}}},
+        {"R1": {"tolerance": 10**400}},
+    ])
+    def test_bad_config_refused_when_built(self, relations):
+        with pytest.raises(ConfigError):
+            SuiteConfig(relations=relations)
+
+    def test_json_integer_over_digit_limit(self):
+        with pytest.raises(ConfigError):
+            SuiteConfig.from_json('{"seed": %s}' % ("1" * 5000))
+
 
 class TestRunSuite:
     def test_small_suite_passes(self):
@@ -258,12 +296,11 @@ class TestRunSuite:
             {"6": [[{"re": 1}]]},
         ]
         for grids in bad_shapes:
-            config = SuiteConfig(
-                seed=7,
-                relations={"R7": {"families": [6], "random_points": 0, "grids": grids}},
-            )
             with pytest.raises(ConfigError):
-                run_suite(config)
+                SuiteConfig(
+                    seed=7,
+                    relations={"R7": {"families": [6], "random_points": 0, "grids": grids}},
+                )
 
 
 class TestBehaviourReference:
