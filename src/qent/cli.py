@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .errors import InputError, QentError
+from .errors import InputError, QentError, brief
 from .families import FAMILY_LABELS, FamilyParams, family_closed_forms, slocc_family
 from .invariants import invariants3, invariants4
 from .measures import (
@@ -32,7 +32,7 @@ from .qstate import (
     save_state,
     state_to_json,
 )
-from .verify import SuiteConfig, _csv_text, random_mixed, random_pure, run_suite
+from .verify import SUITE_MAX_COUNT, SuiteConfig, _csv_text, random_mixed, random_pure, run_suite
 
 DISPLAY = ".12g"
 CSV_PRECISION = ".17g"
@@ -224,22 +224,25 @@ def _cmd_random(args) -> int:
 
 
 def _parse_grid_spec(text: str) -> list[list[float]]:
-    """Parse 're:lo:hi:steps,im:lo:hi:steps' into [re, im] grid values."""
+    """Parse 're:lo:hi:steps,im:lo:hi:steps' into [re, im] grid values, at
+    most SUITE_MAX_COUNT of them, counted before any is formed."""
     axes = {"re": [0.0], "im": [0.0]}
     for part in text.split(","):
         fields = part.split(":")
         if len(fields) != 4 or fields[0] not in ("re", "im"):
             raise InputError(
-                f"grid spec {text!r} must look like re:lo:hi:steps[,im:lo:hi:steps]"
+                f"grid spec {brief(text)} must look like re:lo:hi:steps[,im:lo:hi:steps]"
             )
         axis, lo, hi, steps = fields
         try:
             lo_f, hi_f, n = float(lo), float(hi), int(steps)
         except ValueError as exc:
-            raise InputError(f"bad grid numbers in {part!r}") from exc
-        if n < 1:
-            raise InputError(f"grid steps must be >= 1 in {part!r}")
+            raise InputError(f"bad grid numbers in {brief(part)}") from exc
+        if not 1 <= n <= SUITE_MAX_COUNT:
+            raise InputError(f"grid steps must be in [1, {SUITE_MAX_COUNT}] in {brief(part)}")
         axes[axis] = [lo_f + (hi_f - lo_f) * i / max(n - 1, 1) for i in range(n)]
+    if len(axes["re"]) * len(axes["im"]) > SUITE_MAX_COUNT:
+        raise InputError(f"grid spec {brief(text)} has more than {SUITE_MAX_COUNT} values")
     return [[re, im] for re in axes["re"] for im in axes["im"]]
 
 

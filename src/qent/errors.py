@@ -1,4 +1,13 @@
-"""Exception classes shared across the package."""
+"""Exception classes shared across the package, and brief() for their messages."""
+import re
+
+
+def brief(value) -> str:
+    """repr(value) for an error message, with every integer of more than
+    12 digits cut to its first 12 and '...', so a huge number is never
+    echoed in full, and the whole cut to 60 characters."""
+    text = re.sub(r"(?<![.\d])\d{13,}", lambda m: f"{m.group()[:12]}...", repr(value))
+    return text if len(text) <= 60 else f"{text[:57]}..."
 
 
 class QentError(ValueError):

@@ -12,12 +12,13 @@ G_abcd in its denominator (the printed denominator belongs to family
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OutOfDomain, OutOfRange, ZeroVector
+from .errors import OutOfDomain, OutOfRange, ZeroVector, brief
 from .qstate import DensityMatrix, PureState, _trusted_density, clamped_sqrt, make_pure
 
 FAMILY_LABELS = {
@@ -38,7 +39,7 @@ FAMILY_PARAM_COUNTS = {1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 1, 7: 0, 8: 0, 9: 0}
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Complex parameters (a, b, c, d) for SLOCC family family_id in 1..9."""
+    """Finite complex parameters (a, b, c, d) for SLOCC family family_id in 1..9."""
 
     family_id: int
     a: complex = 0j
@@ -48,9 +49,12 @@ class FamilyParams:
 
     def __post_init__(self):
         if self.family_id not in FAMILY_LABELS:
-            raise OutOfRange(f"family_id must be 1..9, got {self.family_id}")
+            raise OutOfRange(f"family_id must be 1..9, got {brief(self.family_id)}")
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise OutOfRange(f"family parameter {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def label(self) -> str:
@@ -291,7 +295,16 @@ def _family2_pieces(a, b, c):
 def family_closed_forms(params: FamilyParams) -> ClosedFormPrediction:
     """Evaluate every closed-form measure the family admits, including the
     piecewise branches, plus the applicability status of
-    C_2-ME = min_p N^p (unconditional for families 6..9)."""
+    C_2-ME = min_p N^p (unconditional for families 6..9).  OutOfRange for
+    parameters so large that the formulas overflow."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _closed_forms(params)
+    except ArithmeticError as exc:  # OverflowError, or numpy's FloatingPointError
+        raise OutOfRange(f"closed forms of {params.describe()} overflow") from exc
+
+
+def _closed_forms(params: FamilyParams) -> ClosedFormPrediction:
     a, b, c, d = params.a, params.b, params.c, params.d
     fam = params.family_id
     rule = "holds"
@@ -411,6 +424,8 @@ def family_closed_forms(params: FamilyParams) -> ClosedFormPrediction:
         margin = p**2 - m
         rule = "conditional" if margin >= 0 else "fails"
 
+    if not np.isfinite([c2v, c3v, c4v, *neg, 0.0 if margin is None else margin]).all():
+        raise OverflowError("a closed form is not finite")  # float products overflowed
     return ClosedFormPrediction(
         c2=float(c2v),
         c3=float(c3v),

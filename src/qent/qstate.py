@@ -41,6 +41,7 @@ from .errors import (
     NotHermitian,
     NotUnitary,
     ZeroVector,
+    brief,
 )
 
 NORM_TOL = 1e-9
@@ -78,8 +79,7 @@ def _check_qubit_shape(what: str, shape: tuple, ndim: int, n: int) -> None:
     2**n is never formed for an n that no axis could match, and the
     message cuts a huge n short."""
     if n < 1 or len(shape) != ndim or any(d.bit_length() != n + 1 or d != 2**n for d in shape):
-        shown = n if abs(n) < 10**12 else f"{str(n)[:12]}..."
-        raise DimensionMismatch(f"{what} of shape {shape} does not match {shown} qubits")
+        raise DimensionMismatch(f"{what} of shape {shape} does not match {brief(n)} qubits")
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -177,7 +177,11 @@ def make_pure(amplitudes: Sequence[complex], num_sites: int) -> PureState:
     """
     amps = np.asarray(amplitudes, dtype=complex).ravel()
     _check_qubit_shape("vector", amps.shape, 1, num_sites)
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if norm == np.inf:  # the squares overflowed: scale by the largest modulus first
+        amps = amps / np.max(np.abs(amps))
+        norm = float(np.linalg.norm(amps))
     if norm < 1e-12:
         raise ZeroVector("cannot normalize a (near-)zero vector")
     return PureState(amps / norm, num_sites)
@@ -365,6 +369,13 @@ def state_to_json(state: Union[PureState, DensityMatrix]) -> str:
     return json.dumps(payload)
 
 
+def _holds_bool(value) -> bool:
+    """True if value, or any item of its nested lists, is a bool."""
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def state_from_json(text: str) -> Union[PureState, DensityMatrix]:
     """Parse the interchange JSON format, rejecting out-of-tolerance input."""
     try:
@@ -381,6 +392,11 @@ def state_from_json(text: str) -> Union[PureState, DensityMatrix]:
         n = int(n)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError("missing or non-integer 'num_sites'") from exc
+    # JSON true and false would pass complex() as 1 and 0; the walk is paid
+    # only by files that hold such a token
+    entries = payload.get("amplitudes" if kind == "pure" else "matrix")
+    if ("true" in text or "false" in text) and _holds_bool(entries):
+        raise InputError("state entries must be numbers, not true or false")
     try:
         if kind == "pure":
             amps = np.array(

@@ -1,13 +1,16 @@
 """Relation-verification harness.
 
-Each RelationId names one quantitative relation among the measures and
-maps to one checker in _CHECKERS; _run_case() is the only dispatch.
-check() evaluates one relation on one input and returns one result row
-per sub-relation.  run_suite() drives a configurable batch over fixed
+Each RelationId names one quantitative relation among the measures.  A
+relation's checker is a plain function from its payload and tolerances
+to bare rows (label, lhs, rhs, tolerance, row options); it knows
+neither its relation nor the case's descriptor.  _run_case() is the
+only dispatch: it calls the checker and stamps each row with the
+relation and the descriptor joined to the row's label.  check()
+evaluates one relation on one input and returns one result row per
+sub-relation.  run_suite() drives a configurable batch over fixed
 anchor states plus seeded random families through the same dispatch,
 serially, and aggregates a deterministic report.  Its SuiteConfig is
-checked in full when built, against the keys and defaults declared once
-in _DEFAULT_RELATIONS, so _suite_cases only generates cases.
+checked in full when built, so _suite_cases only generates cases.
 
 Relations:
     R1  pure n-qubit identity: C_n-ME equals the negativity quadratic mean
@@ -34,14 +37,16 @@ import csv
 import io
 import itertools
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleInput, OutOfRange
+from .errors import ConfigError, IncompatibleInput, InputError, OutOfRange, brief
 from .families import (
     FAMILY_LABELS,
     FAMILY_PARAM_COUNTS,
@@ -90,8 +95,12 @@ TOL_EQUALITY = 1e-9
 TOL_TANGLE = 1e-8
 TOL_FAMILY = 1e-8
 
-# most qubits of a random suite state, a `sizes` entry or an R9 cut (na + nb)
+# most qubits of a random suite state, a `sizes` entry, an R9 cut (na + nb)
+# or a check() payload
 SUITE_MAX_SITES = 8
+# most cases one suite count (samples, t_points, random_t, random_points),
+# R7 family grid or `qent verify --grid` axis may ask for
+SUITE_MAX_COUNT = 10_000
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -120,18 +129,6 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-class RelationId(str, Enum):
-    R1 = "R1"
-    R2 = "R2"
-    R3 = "R3"
-    R4 = "R4"
-    R5 = "R5"
-    R6 = "R6"
-    R7 = "R7"
-    R8 = "R8"
-    R9 = "R9"
-
-
 @dataclass(frozen=True)
 class RelationCheckResult:
     relation: RelationId
@@ -153,11 +150,11 @@ class Ensemble:
 
     def __post_init__(self):
         if len(self.weights) != len(self.states) or not self.states:
-            raise ValueError("ensemble needs matching, non-empty weights and states")
+            raise InputError("ensemble needs matching, non-empty weights and states")
         if any(p < -1e-12 for p in self.weights):
-            raise ValueError("ensemble weights must be non-negative")
+            raise InputError("ensemble weights must be non-negative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise ValueError(f"ensemble weights sum to {sum(self.weights)}")
+            raise InputError(f"ensemble weights sum to {sum(self.weights)}")
 
     @property
     def num_sites(self) -> int:
@@ -174,14 +171,14 @@ class Ensemble:
 def _rng(seed: int) -> np.random.Generator:
     """default_rng(seed); OutOfRange unless seed is a non-negative integer."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise OutOfRange(f"seed must be a non-negative integer, got {seed!r}")
+        raise OutOfRange(f"seed must be a non-negative integer, got {brief(seed)}")
     return np.random.default_rng(seed)
 
 
 def random_pure(n: int, seed: int) -> PureState:
     """Haar-like random pure state from a seeded complex-normal vector."""
     if not 1 <= n <= SUITE_MAX_SITES:
-        raise OutOfRange(f"random_pure supports 1 <= n <= {SUITE_MAX_SITES}, got {n}")
+        raise OutOfRange(f"random_pure supports 1 <= n <= {SUITE_MAX_SITES}, got {brief(n)}")
     rng = _rng(seed)
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return PureState(v / np.linalg.norm(v), n)
@@ -191,9 +188,9 @@ def random_ensemble(n: int, rank: int, seed: int) -> Ensemble:
     """Random convex mixture of `rank` random pure states with Dirichlet
     weights, fully reproducible from `seed`."""
     if not 1 <= n <= SUITE_MAX_SITES:
-        raise OutOfRange(f"random_ensemble supports 1 <= n <= {SUITE_MAX_SITES}, got {n}")
+        raise OutOfRange(f"random_ensemble needs 1 <= n <= {SUITE_MAX_SITES}, got {brief(n)}")
     if not 1 <= rank <= 2**n:
-        raise OutOfRange(f"rank must be in [1, 2^n], got {rank}")
+        raise OutOfRange(f"rank must be in [1, 2^n], got {brief(rank)}")
     rng = _rng(seed)
     states = []
     for _ in range(rank):
@@ -216,16 +213,8 @@ def random_local_unitary(seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _row(
-    relation: RelationId,
-    desc: str,
-    lhs: float,
-    rhs: float,
-    tol: float,
-    inequality: bool = False,
-    note: str = "",
-    skip: bool = False,
-) -> RelationCheckResult:
+def _row(relation: RelationId, desc: str, lhs: float, rhs: float, tol: float,
+         inequality: bool = False, note: str = "", skip: bool = False) -> RelationCheckResult:
     residual = max(0.0, rhs - lhs) if inequality else abs(lhs - rhs)
     if skip:
         verdict = VERDICT_SKIP
@@ -234,14 +223,7 @@ def _row(
     else:
         verdict = VERDICT_PASS if residual <= tol else VERDICT_FAIL
     return RelationCheckResult(
-        relation=relation,
-        state_descriptor=desc,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        residual=float(residual),
-        tolerance=float(tol),
-        verdict=verdict,
-        condition_note=note,
+        relation, desc, float(lhs), float(rhs), float(residual), float(tol), verdict, note
     )
 
 
@@ -252,19 +234,43 @@ def _expect_pure(payload, n: Optional[int]):
         raise IncompatibleInput(f"expected {n} sites, got {payload.num_sites}")
 
 
-# Every checker takes (payload, tol, desc, tangle_tol) with both tolerances
-# already resolved by _run_case, validates its own payload and raises
-# IncompatibleInput on a mismatch.
+def _num_sites(what: str, n) -> int:
+    """int(n), the qubit count of an R3 or R8 payload: IncompatibleInput if
+    that fails, OutOfRange above SUITE_MAX_SITES, before any state is built."""
+    try:
+        n = int(n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IncompatibleInput(f"{what} must be an integer, got {brief(n)}") from exc
+    if n > SUITE_MAX_SITES:
+        raise OutOfRange(f"{what} must be at most {SUITE_MAX_SITES}, got {brief(n)}")
+    return n
 
 
-def _check_r1(psi: PureState, tol: float, desc: str, tangle_tol: float):
+def _ghz_noise_args(payload) -> tuple[int, float]:
+    """(n, t) of an R3 payload: a tuple of an integer n and a number t."""
+    if not (isinstance(payload, tuple) and len(payload) == 2):
+        raise IncompatibleInput("R3 expects (n, t)")
+    try:
+        tvis = float(payload[1])
+    except (TypeError, ValueError) as exc:
+        raise IncompatibleInput(f"R3 t must be a number, got {brief(payload[1])}") from exc
+    return _num_sites("R3 n", payload[0]), tvis
+
+
+# A checker is a plain function (payload, tol, tangle_tol) -> rows, with
+# both tolerances already resolved by _run_case.  It validates its own
+# payload (IncompatibleInput on a mismatch) and returns bare rows
+# (label, lhs, rhs, tolerance, options): the label is appended to the
+# case's descriptor, and options are _row's keywords.
+
+
+def _check_r1(psi: PureState, tol: float, tangle_tol: float):
     _expect_pure(psi, None)
     lhs = kme_concurrence_pure(psi, psi.num_sites).value
-    rhs = quadratic_mean(transposed_profile(density_of(psi)).per_site)
-    return [_row(RelationId.R1, desc, lhs, rhs, tol)]
+    return [("", lhs, quadratic_mean(transposed_profile(density_of(psi)).per_site), tol, {})]
 
 
-def _check_r2(ens: Ensemble, tol: float, desc: str, tangle_tol: float):
+def _check_r2(ens: Ensemble, tol: float, tangle_tol: float):
     if not isinstance(ens, Ensemble):
         raise IncompatibleInput("R2 expects an Ensemble")
     n = ens.num_sites
@@ -272,60 +278,27 @@ def _check_r2(ens: Ensemble, tol: float, desc: str, tangle_tol: float):
         p * kme_concurrence_pure(psi, n).value for p, psi in zip(ens.weights, ens.states)
     )
     rhs = quadratic_mean(transposed_profile(ens.density()).per_site)
-    return [_row(RelationId.R2, desc, lhs, rhs, tol, inequality=True)]
+    return [("", lhs, rhs, tol, {"inequality": True})]
 
 
-def _check_r3(payload: tuple[int, float], tol: float, desc: str, tangle_tol: float):
-    if not (isinstance(payload, tuple) and len(payload) == 2):
-        raise IncompatibleInput("R3 expects (n, t)")
-    n, tvis = int(payload[0]), float(payload[1])
+def _check_r3(payload: tuple[int, float], tol: float, tangle_tol: float):
+    n, tvis = _ghz_noise_args(payload)
     prof = transposed_profile(ghz_noise(n, tvis)).per_site
-    rows = [
-        _row(
-            RelationId.R3,
-            f"{desc} | exact n-ME value",
-            ghz_noise_nme_exact(n, tvis),
-            quadratic_mean(prof),
-            tol,
-        )
-    ]
+    rows = [("exact n-ME value", ghz_noise_nme_exact(n, tvis), quadratic_mean(prof), tol, {})]
     pred = ghz_noise_negativity(n, tvis)
-    for p in range(n):
-        rows.append(
-            _row(
-                RelationId.R3,
-                f"{desc} | negativity site {p}",
-                pred,
-                prof[p],
-                tol,
-            )
-        )
-    return rows
+    return rows + [(f"negativity site {p}", pred, prof[p], tol, {}) for p in range(n)]
 
 
-def _check_r4(psi: PureState, tol: float, desc: str, tangle_tol: float):
+def _check_r4(psi: PureState, tol: float, tangle_tol: float):
     _expect_pure(psi, 3)
     prof = transposed_profile(density_of(psi)).per_site
-    rows = [
-        _row(
-            RelationId.R4,
-            f"{desc} | C2 = min N",
-            kme_concurrence_pure(psi, 2).value,
-            min(prof),
-            tol,
-        ),
-        _row(
-            RelationId.R4,
-            f"{desc} | C3 = rms N",
-            kme_concurrence_pure(psi, 3).value,
-            quadratic_mean(prof),
-            tol,
-        ),
+    return [
+        ("C2 = min N", kme_concurrence_pure(psi, 2).value, min(prof), tol, {}),
+        ("C3 = rms N", kme_concurrence_pure(psi, 3).value, quadratic_mean(prof), tol, {}),
     ]
-    return rows
 
 
-def _check_r5(psi: PureState, tol: float, desc: str, tangle_tol: float):
+def _check_r5(psi: PureState, tol: float, tangle_tol: float):
     _expect_pure(psi, 3)
     inv = invariants3(psi)
     c2i, c3i = kme_from_invariants3(inv)
@@ -333,67 +306,40 @@ def _check_r5(psi: PureState, tol: float, desc: str, tangle_tol: float):
     c3d = kme_concurrence_pure(psi, 3).value
     tau3 = three_tangle(psi)
     pred = tangles_from_invariants3(inv, tau3)
-    pairs = ((0, 1), (0, 2), (1, 2))
-    names = ("tau_AB", "tau_AC", "tau_BC")
-    rows = [
-        _row(RelationId.R5, f"{desc} | C2 via invariants", c2i, c2d, tol),
-        _row(RelationId.R5, f"{desc} | C3 via invariants", c3i, c3d, tol),
-    ]
+    rows = [("C2 via invariants", c2i, c2d, tol, {}), ("C3 via invariants", c3i, c3d, tol, {})]
     direct_tangles = []
-    for (i, j), name, lhs in zip(pairs, names, pred):
-        rhs = _pair_tangle(psi, (i, j))
-        direct_tangles.append(rhs)
-        rows.append(
-            _row(RelationId.R5, f"{desc} | {name} via invariants", lhs, rhs, tangle_tol)
-        )
+    for pair, name, lhs in zip(((0, 1), (0, 2), (1, 2)), ("AB", "AC", "BC"), pred):
+        direct_tangles.append(_pair_tangle(psi, pair))
+        rows.append((f"tau_{name} via invariants", lhs, direct_tangles[-1], tangle_tol, {}))
     c3_tangle = clamped_sqrt(2.0 / 3.0 * sum(direct_tangles) + tau3)
-    rows.append(_row(RelationId.R5, f"{desc} | C3 via tangles", c3_tangle, c3d, tangle_tol))
-    return rows
+    return rows + [("C3 via tangles", c3_tangle, c3d, tangle_tol, {})]
 
 
-def _check_r6(psi: PureState, tol: float, desc: str, tangle_tol: float):
+def _check_r6(psi: PureState, tol: float, tangle_tol: float):
     _expect_pure(psi, 4)
     c2i, c3i, c4i = kme_from_invariants4(invariants4(psi))
-    rows = []
-    for k, inv_val in ((2, c2i), (3, c3i), (4, c4i)):
-        rows.append(
-            _row(
-                RelationId.R6,
-                f"{desc} | C{k} via invariants",
-                inv_val,
-                kme_concurrence_pure(psi, k).value,
-                tol,
-            )
-        )
-    return rows
+    return [
+        (f"C{k} via invariants", inv_val, kme_concurrence_pure(psi, k).value, tol, {})
+        for k, inv_val in ((2, c2i), (3, c3i), (4, c4i))
+    ]
 
 
-def _check_r7(params: FamilyParams, tol: float, desc: str, tangle_tol: float):
+def _check_r7(params: FamilyParams, tol: float, tangle_tol: float):
     if not isinstance(params, FamilyParams):
         raise IncompatibleInput("R7 expects FamilyParams")
     psi = slocc_family(params)
     pred = family_closed_forms(params)
-    rho = density_of(psi)
-    direct_neg = transposed_profile(rho).per_site
+    direct_neg = transposed_profile(density_of(psi)).per_site
     direct_kme = {k: kme_concurrence_pure(psi, k).value for k in (2, 3, 4)}
-    rows = []
-    for k, closed in ((2, pred.c2), (3, pred.c3), (4, pred.c4)):
-        rows.append(
-            _row(RelationId.R7, f"{desc} | C{k} closed form", closed, direct_kme[k], tol)
-        )
-    for p in range(4):
-        rows.append(
-            _row(
-                RelationId.R7,
-                f"{desc} | N site {p} closed form",
-                pred.negativities[p],
-                direct_neg[p],
-                tol,
-            )
-        )
-    c2_direct = direct_kme[2]
-    min_n = min(direct_neg)
-    desc_min = f"{desc} | C2 = min N"
+    rows = [
+        (f"C{k} closed form", closed, direct_kme[k], tol, {})
+        for k, closed in ((2, pred.c2), (3, pred.c3), (4, pred.c4))
+    ]
+    rows += [
+        (f"N site {p} closed form", pred.negativities[p], direct_neg[p], tol, {})
+        for p in range(4)
+    ]
+    c2_direct, min_n = direct_kme[2], min(direct_neg)
     skip = pred.c2_min_negativity == "fails"
     if skip:
         note = f"condition violated (margin={pred.condition_margin:.6g}); equality not predicted"
@@ -403,55 +349,46 @@ def _check_r7(params: FamilyParams, tol: float, desc: str, tangle_tol: float):
         note = "unconditional"
     else:
         note = f"condition satisfied (margin={pred.condition_margin:.6g})"
-    rows.append(_row(RelationId.R7, desc_min, c2_direct, min_n, tol, note=note, skip=skip))
-    return rows
+    return rows + [("C2 = min N", c2_direct, min_n, tol, {"note": note, "skip": skip})]
 
 
-def _check_r8(payload, tol: float, desc: str, tangle_tol: float):
+def _check_r8(payload, tol: float, tangle_tol: float):
     if not isinstance(payload, tuple) or len(payload) != 2:
         raise IncompatibleInput("R8 payload must be ('w_kme', n) or ('w_two_tangle', coeffs)")
     kind, arg = payload
-    rows = []
     if kind == "w_kme":
-        n = int(arg)
+        n = _num_sites("R8 n", arg)
         psi = w(n)
-        for k in range(2, n + 1):
-            rows.append(
-                _row(
-                    RelationId.R8,
-                    f"{desc} | k={k}",
-                    w_kme_closed_form(n, k),
-                    kme_concurrence_pure(psi, k).value,
-                    tol,
-                )
-            )
-        return rows
-    if kind == "w_two_tangle":
+        return [
+            (f"k={k}", w_kme_closed_form(n, k), kme_concurrence_pure(psi, k).value, tol, {})
+            for k in range(2, n + 1)
+        ]
+    if kind != "w_two_tangle":
+        raise IncompatibleInput(f"unknown R8 payload kind {brief(kind)}")
+    try:
         coeffs = np.asarray(arg, dtype=complex).ravel()
-        n = coeffs.size
-        psi = w_class(coeffs)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                rows.append(
-                    _row(
-                        RelationId.R8,
-                        f"{desc} | pair ({i},{j})",
-                        w_two_tangle(coeffs, i, j),
-                        _pair_tangle(psi, (i - 1, j - 1)),
-                        tangle_tol,
-                    )
-                )
-        return rows
-    raise IncompatibleInput(f"unknown R8 payload kind {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise IncompatibleInput("R8 coeffs must be complex numbers") from exc
+    n = _num_sites("R8 coefficient count", coeffs.size)
+    psi = w_class(coeffs)
+    return [
+        (f"pair ({i},{j})", w_two_tangle(coeffs, i, j), _pair_tangle(psi, (i - 1, j - 1)),
+         tangle_tol, {})
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    ]
 
 
-def _check_r9(payload, tol: float, desc: str, tangle_tol: float):
+def _check_r9(payload, tol: float, tangle_tol: float):
     if not isinstance(payload, tuple) or len(payload) != 2:
         raise IncompatibleInput("R9 payload must be (PureState, side_a)")
     psi, side = payload
     if not isinstance(psi, PureState):
         raise IncompatibleInput("R9 payload must contain a PureState")
-    side = tuple(int(s) for s in side)
+    try:
+        side = tuple(int(s) for s in side)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IncompatibleInput("R9 side_a must be a list of site indices") from exc
     lam = schmidt_weights(psi, side)
     rank = int(np.sum(lam > 1e-10))
     if rank > 2:
@@ -460,42 +397,70 @@ def _check_r9(payload, tol: float, desc: str, tangle_tol: float):
     ev = hermitian_eigenvalues(partial_transpose_sites(rho, side, psi.num_sites))
     lhs = float(np.abs(ev).sum() - 1.0)
     rhs = clamped_sqrt(2.0 * (1.0 - purity(reduced_density_pure(psi, side))))
-    return [_row(RelationId.R9, desc, lhs, rhs, tol, note=f"schmidt rank {rank}")]
+    return [("", lhs, rhs, tol, {"note": f"schmidt rank {rank}"})]
 
 
-# relation -> (checker, default tolerance of its non-tangle rows)
-_CHECKERS: dict[RelationId, tuple[Callable, float]] = {
-    RelationId.R1: (_check_r1, TOL_EQUALITY),
-    RelationId.R2: (_check_r2, TOL_EQUALITY),
-    RelationId.R3: (_check_r3, TOL_EQUALITY),
-    RelationId.R4: (_check_r4, TOL_EQUALITY),
-    RelationId.R5: (_check_r5, TOL_EQUALITY),
-    RelationId.R6: (_check_r6, TOL_EQUALITY),
-    RelationId.R7: (_check_r7, TOL_FAMILY),
-    RelationId.R8: (_check_r8, TOL_EQUALITY),
-    RelationId.R9: (_check_r9, TOL_EQUALITY),
+class _Relation(NamedTuple):
+    checker: Callable
+    tolerance: float  # default tolerance of the rows that are not tangle rows
+    spec: dict  # every key of a suite spec but "tolerance", with its default
+
+
+# relation -> its one entry; the order is the default suite's
+_RELATIONS: dict[str, _Relation] = {
+    "R1": _Relation(_check_r1, TOL_EQUALITY, {"sizes": [2, 3, 4, 5], "samples": 15}),
+    "R2": _Relation(_check_r2, TOL_EQUALITY, {"sizes": [2, 3], "ranks": [2, 3], "samples": 8}),
+    "R3": _Relation(_check_r3, TOL_EQUALITY,
+                    {"sizes": [2, 3, 4, 5], "t_points": 21, "random_t": 5}),
+    "R4": _Relation(_check_r4, TOL_EQUALITY, {"samples": 60}),
+    "R5": _Relation(_check_r5, TOL_EQUALITY, {"samples": 60, "tangle_tolerance": None}),
+    "R6": _Relation(_check_r6, TOL_EQUALITY, {"samples": 60}),
+    "R7": _Relation(_check_r7, TOL_FAMILY,
+                    {"families": [1, 2, 3, 4, 5, 6, 7, 8, 9], "random_points": 4, "grids": None}),
+    "R8": _Relation(_check_r8, TOL_EQUALITY,
+                    {"sizes": [3, 4, 5, 6], "samples": 8, "tangle_tolerance": None}),
+    "R9": _Relation(_check_r9, TOL_EQUALITY,
+                    {"samples": 25, "cuts": [[1, 1], [1, 2], [2, 2], [1, 3]]}),
 }
+
+# one member per relation, valued by its name
+RelationId = Enum("RelationId", [(name, name) for name in _RELATIONS], type=str)
 
 
 def _run_case(case) -> list[RelationCheckResult]:
-    """Run one (relation, payload, descriptor, tol, tangle_tol) case.
+    """Run one (relation, payload, descriptor, tol, tangle_tol) case and
+    label its checker's bare rows with the relation and the descriptor.
 
     Tangle rows (R5 two-tangles and C3 via tangles, R8 pair tangles) use
     tangle_tol if given, else tol, else TOL_TANGLE.  Every other row uses
     tol if given, else the relation's default.
     """
     rel, payload, desc, tol, tangle_tol = case
-    checker, default_tol = _CHECKERS[rel]
+    checker, default_tol, _ = _RELATIONS[rel]
     if tangle_tol is None:
         tangle_tol = TOL_TANGLE if tol is None else tol
-    return checker(payload, default_tol if tol is None else tol, desc, tangle_tol)
+    rows = checker(payload, default_tol if tol is None else tol, tangle_tol)
+    return [
+        _row(rel, f"{desc} | {label}" if label else desc, lhs, rhs, row_tol, **options)
+        for label, lhs, rhs, row_tol, options in rows
+    ]
 
 
 def check(
     relation: Union[RelationId, str], payload, tol: Optional[float] = None
 ) -> list[RelationCheckResult]:
-    """Evaluate one relation on one input; returns one row per sub-relation."""
-    rel = RelationId(relation)
+    """Evaluate one relation on one input; returns one row per sub-relation.
+
+    Raises a QentError for an unknown relation, a payload that does not
+    fit it or a tol that is not a number, and OutOfRange for a state of
+    more than SUITE_MAX_SITES qubits.
+    """
+    try:
+        rel = RelationId(relation)
+    except ValueError as exc:
+        raise IncompatibleInput(f"unknown relation {brief(relation)}") from exc
+    if tol is not None and not isinstance(tol, numbers.Real):
+        raise IncompatibleInput(f"tol must be a number, got {brief(tol)}")
     return _run_case((rel, payload, _describe_payload(rel, payload), tol, None))
 
 
@@ -507,26 +472,12 @@ def _describe_payload(rel: RelationId, payload) -> str:
     if isinstance(payload, FamilyParams):
         return payload.describe()
     if isinstance(payload, tuple) and rel is RelationId.R3:
-        return f"ghz_noise n={payload[0]} t={float(payload[1]):.6g}"
+        return f"ghz_noise n={payload[0]} t={_ghz_noise_args(payload)[1]:.6g}"
     return rel.value
 
 
 # ---------------------------------------------------------------------------
 # suite configuration and execution
-
-# every key a relation's spec accepts, with its default
-_DEFAULT_RELATIONS: dict[str, dict] = {
-    "R1": {"sizes": [2, 3, 4, 5], "samples": 15, "tolerance": None},
-    "R2": {"sizes": [2, 3], "ranks": [2, 3], "samples": 8, "tolerance": None},
-    "R3": {"sizes": [2, 3, 4, 5], "t_points": 21, "random_t": 5, "tolerance": None},
-    "R4": {"samples": 60, "tolerance": None},
-    "R5": {"samples": 60, "tolerance": None, "tangle_tolerance": None},
-    "R6": {"samples": 60, "tolerance": None},
-    "R7": {"families": [1, 2, 3, 4, 5, 6, 7, 8, 9], "random_points": 4, "grids": None,
-           "tolerance": None},
-    "R8": {"sizes": [3, 4, 5, 6], "samples": 8, "tolerance": None, "tangle_tolerance": None},
-    "R9": {"samples": 25, "cuts": [[1, 1], [1, 2], [2, 2], [1, 3]], "tolerance": None},
-}
 
 
 def _is_int(value) -> bool:
@@ -537,7 +488,8 @@ def _check_spec_value(name: str, key: str, value) -> None:
     """Raise ConfigError unless a relation spec value is what its key
     needs (grids are checked by SuiteConfig, against the spec's families)."""
     if key in ("samples", "t_points", "random_t", "random_points"):
-        ok, need = _is_int(value) and value >= 0, "a non-negative integer"
+        ok = _is_int(value) and 0 <= value <= SUITE_MAX_COUNT
+        need = f"an integer in [0, {SUITE_MAX_COUNT}]"
     elif key in ("sizes", "ranks", "families"):
         ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
         need = "a list of integers"
@@ -562,7 +514,7 @@ def _check_spec_value(name: str, key: str, value) -> None:
     else:
         return
     if not ok:
-        raise ConfigError(f"relation {name} {key} must be {need}, got {value!r}")
+        raise ConfigError(f"relation {name} {key} must be {need}, got {brief(value)}")
 
 
 def _complex_from_config(value) -> complex:
@@ -573,12 +525,13 @@ def _complex_from_config(value) -> complex:
             return complex(float(value[0]), float(value[1]))
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"grid value {value!r} must be a number or an [re, im] pair")
+    raise ConfigError(f"grid value {brief(value)} must be a number or an [re, im] pair")
 
 
 def _custom_grid(grids: dict, fam: int) -> Optional[list[FamilyParams]]:
     """FamilyParams of the product of the value lists that `grids` holds for
-    family `fam` (under the id or its string), one per parameter; or None."""
+    family `fam` (under the id or its string), one per parameter; or None.
+    The number of points is counted before the product is formed."""
     per_parameter = grids.get(str(fam), grids.get(fam))
     if per_parameter is None:
         return None
@@ -589,11 +542,12 @@ def _custom_grid(grids: dict, fam: int) -> Optional[list[FamilyParams]]:
         raise ConfigError(
             f"family {fam} takes {nparams} parameters, grid lists {len(per_parameter)}"
         )
-    axes = []
-    for values in per_parameter:
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"family {fam} grid axis must be a non-empty list")
-        axes.append([_complex_from_config(v) for v in values])
+    if not all(isinstance(values, list) and values for values in per_parameter):
+        raise ConfigError(f"family {fam} grid axis must be a non-empty list")
+    points = math.prod(len(values) for values in per_parameter)
+    if points > SUITE_MAX_COUNT:
+        raise ConfigError(f"family {fam} grid has {points} points, over {SUITE_MAX_COUNT}")
+    axes = [[_complex_from_config(v) for v in values] for values in per_parameter]
     return [FamilyParams(fam, *combo) for combo in itertools.product(*axes)]
 
 
@@ -601,15 +555,15 @@ def _custom_grid(grids: dict, fam: int) -> Optional[list[FamilyParams]]:
 class SuiteConfig:
     """The seed and the relations of one suite run, checked in full when
     built (ConfigError).  `relations` lists names, or maps each name to a
-    spec of keys from _DEFAULT_RELATIONS, whose defaults fill the rest;
-    the config keeps its own copy of every spec."""
+    spec of "tolerance" and the keys of its _RELATIONS entry, whose
+    defaults fill the rest; the config keeps its own copy of every spec."""
 
     seed: int = 7
-    relations: Union[dict, list] = field(default_factory=lambda: list(_DEFAULT_RELATIONS))
+    relations: Union[dict, list] = field(default_factory=lambda: list(_RELATIONS))
 
     def __post_init__(self):
         if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+            raise ConfigError(f"seed must be a non-negative integer, got {brief(self.seed)}")
         normalized: dict[str, dict] = {}
         rels = self.relations
         if isinstance(rels, (list, tuple)):
@@ -617,18 +571,19 @@ class SuiteConfig:
         if not isinstance(rels, dict):
             raise ConfigError("relations must be a list or an object")
         for name, spec in rels.items():
-            if name not in _DEFAULT_RELATIONS:
-                raise ConfigError(f"unknown relation {name!r}")
+            if name not in _RELATIONS:
+                raise ConfigError(f"unknown relation {brief(name)}")
             if spec is None:
                 spec = {}
             if not isinstance(spec, dict):
                 raise ConfigError(f"relation {name} spec must be an object")
-            bad = set(spec) - set(_DEFAULT_RELATIONS[name])
+            defaults = {"tolerance": None, **_RELATIONS[name].spec}
+            bad = set(spec) - set(defaults)
             if bad:
-                raise ConfigError(f"relation {name} has unknown keys {sorted(bad)}")
+                raise ConfigError(f"relation {name} has unknown keys {brief(sorted(bad))}")
             for key, value in spec.items():
                 _check_spec_value(name, key, value)
-            merged = copy.deepcopy({**_DEFAULT_RELATIONS[name], **spec})
+            merged = copy.deepcopy({**defaults, **spec})
             grids = merged.get("grids") or {}
             if not isinstance(grids, dict):
                 raise ConfigError(f"{name} grids must map family id to per-parameter lists")

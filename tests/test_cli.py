@@ -1,14 +1,22 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qent import PureState, linear_entropy_pure, make_pure, state_to_json, w
-from qent import cli
+from qent import cli, verify
 from qent.cli import main
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -428,3 +436,99 @@ class TestVerifyCommand:
         assert main(args + ["zz:0:1:2"]) == 2
         assert main(args + ["re:0:1"]) == 2
         assert main(args + ["re:0:1:0"]) == 2
+
+
+class TestOutsideValuesExit2:
+    @pytest.mark.parametrize("entries", [
+        '"amplitudes": [[true, false], [false, false]]',
+        '"amplitudes": [[1, false], [0, 0]]',
+    ])
+    def test_boolean_amplitudes(self, tmp_path, capsys, entries):
+        state = tmp_path / "bool.json"
+        state.write_text('{"kind": "pure", "num_sites": 1, %s}' % entries)
+        assert main(["measure", "--state", str(state), "--measures", "negativity"]) == 2
+        assert "true or false" in capsys.readouterr().err
+
+    def test_boolean_matrix_entry(self, tmp_path, capsys):
+        state = tmp_path / "bool.json"
+        state.write_text('{"kind": "density", "num_sites": 1,'
+                         ' "matrix": [[[true, 0], [0, 0]], [[0, 0], [0, 0]]]}')
+        assert main(["measure", "--state", str(state), "--measures", "negativity"]) == 2
+        assert "true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a", ["1e150", "1e300+1e300j", "nan", "inf"])
+    def test_family_parameter_out_of_range(self, capsys, a):
+        assert main(["family", "--family", "6", "--a", a]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_random_sites_echoed_short(self, capsys):
+        assert main(["random", "--sites", "1" * 60, "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err) < 80, err
+
+    @pytest.fixture
+    def no_suite_run(self, monkeypatch):
+        """The refusal must come before the suite runs."""
+        def ran(config):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_suite", ran)
+
+    @pytest.mark.parametrize("relations", [
+        {"R3": {"sizes": [3], "t_points": 10**40}},
+        {"R1": {"samples": 10**40}},
+        {"R7": {"families": [6], "grids": {"6": [["NaN"]]}}},
+    ])
+    def test_suite_exits_2(self, tmp_path, capsys, no_suite_run, relations):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"relations": relations}).replace('"NaN"', "NaN"))
+        assert main(["verify", "--suite", str(suite)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err) < 120, err
+
+    def test_nan_grid_exits_2_before_any_check(self, tmp_path, capsys, monkeypatch):
+        def ran(case):
+            raise AssertionError(f"a check ran: {case[0]}")
+
+        monkeypatch.setattr(verify, "_run_case", ran)
+        suite = tmp_path / "suite.json"
+        suite.write_text('{"relations": {"R1": {}, "R7": {"families": [6],'
+                         ' "grids": {"6": [[NaN]]}}}}')
+        assert main(["verify", "--suite", str(suite)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_grid_exits_2(self, tmp_path, capsys):
+        suite = tmp_path / "suite.json"
+        suite.write_text('{"relations": {"R7": {"families": [6], "grids": {"6": [[1e150]]}}}}')
+        assert main(["verify", "--suite", str(suite)]) == 2
+        assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [
+        "re:0:1:10001", "re:0:1:101,im:0:1:100", "re:0:1:" + "9" * 5000,
+    ], ids=["steps", "values", "digits"])
+    def test_grid_steps_capped(self, capsys, no_suite_run, grid):
+        assert main(["verify", "--default", "--grid-family", "6", "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err) < 120, err
+
+    def test_huge_grid_steps_exit_2_at_once(self):
+        """Refused before any grid value is formed, in well under a second.
+        main() runs in a child process with 512 MB of address space and
+        10 s, so a regression fails instead of filling memory."""
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        code = (
+            "import sys, time\n"
+            "from qent.cli import main\n"
+            "start = time.perf_counter()\n"
+            "code = main(['verify', '--default', '--grid-family', '6',"
+            " '--grid', 're:0:1:100000000000'])\n"
+            "print(time.perf_counter() - start)\n"
+            "sys.exit(code)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              preexec_fn=limit, timeout=10, env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: grid steps"), done.stderr
+        assert float(done.stdout) < 0.5

@@ -310,3 +310,31 @@ class TestWClosedForms:
             w_kme_closed_form(2, 2)
         with pytest.raises(OutOfRange):
             w_kme_closed_form(4, 5)
+
+
+class TestParameterRange:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(0, float("-inf"))])
+    @pytest.mark.parametrize("slot", ["a", "b", "c", "d"])
+    def test_non_finite_parameter_refused(self, slot, value):
+        with pytest.raises(OutOfRange, match="finite"):
+            FamilyParams(1, **{slot: value})
+
+    @pytest.mark.parametrize("family", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("magnitude", [1e77, 1e150, 1e200, 1e300])
+    @pytest.mark.parametrize("phase", [1, 1j, 1 + 1j, -1])
+    def test_huge_parameter_is_a_state_or_out_of_range(self, family, magnitude, phase):
+        """A finite parameter of any size gives a normalized state, and its
+        closed forms are numbers or OutOfRange; never a plain ValueError,
+        an OverflowError or a numpy warning."""
+        params = FamilyParams(family, magnitude * phase, 0.5, 0.3, 0.2)
+        assert abs(np.linalg.norm(slocc_family(params).amplitudes) - 1.0) < 1e-12
+        try:
+            pred = family_closed_forms(params)
+        except OutOfRange as exc:
+            assert "overflow" in str(exc)
+        else:
+            assert np.isfinite([pred.c2, pred.c3, pred.c4, *pred.negativities]).all()
+
+    def test_family6_overflow_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="overflow"):
+            family_closed_forms(FamilyParams(6, 1e150))

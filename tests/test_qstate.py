@@ -290,3 +290,26 @@ class TestStateJson:
             state_from_json("not json at all")
         with pytest.raises(InputError):
             state_from_json('{"kind": "blob"}')
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "pure", "num_sites": 1, "amplitudes": [[true, false], [false, false]]}',
+        '{"kind": "pure", "num_sites": 1, "amplitudes": [[1, 0], [0, false]]}',
+        '{"kind": "density", "num_sites": 1,'
+        ' "matrix": [[[true, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+        '{"kind": "density", "num_sites": 1,'
+        ' "matrix": [[[1, 0], [0, 0]], [[0, false], [0, 0]]]}',
+    ])
+    def test_rejects_booleans(self, text):
+        with pytest.raises(InputError, match="true or false"):
+            state_from_json(text)
+
+    def test_true_in_a_string_is_no_boolean(self):
+        text = '{"kind": "pure", "num_sites": 1, "amplitudes": [[1, 0], [0, 0]], "note": "true"}'
+        assert np.array_equal(state_from_json(text).amplitudes, [1, 0])
+
+
+class TestMakePureScale:
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e200, 1e300])
+    def test_any_finite_scale_normalizes(self, scale):
+        psi = make_pure(np.array([1, 1j, 0, -1]) * scale, 2)
+        assert np.allclose(psi.amplitudes, np.array([1, 1j, 0, -1]) / np.sqrt(3))

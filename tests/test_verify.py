@@ -29,6 +29,7 @@ from qent import (
     slocc_family,
 )
 
+from qent import verify
 from qent.measures import FACTORED_RANK_RATIO, transposed_profile
 from qent.qstate import density_factor
 
@@ -385,3 +386,81 @@ class TestTrustBoundary:
         want = transposed_profile(rho).per_site
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
         assert validations == []
+
+
+class TestCheckRefusesWithQentError:
+    @pytest.mark.parametrize("relation,payload,error", [
+        ("R10", random_pure(2, 1), IncompatibleInput),
+        (["R1"], random_pure(2, 1), IncompatibleInput),
+        ("R3", ("x", 0.5), IncompatibleInput),
+        ("R3", (3, "a"), IncompatibleInput),
+        ("R3", (3,), IncompatibleInput),
+        ("R3", (20, 0.5), OutOfRange),
+        ("R3", (10**300, 0.5), OutOfRange),
+        ("R8", ("w_kme", "a"), IncompatibleInput),
+        ("R8", ("w_kme", 40), OutOfRange),
+        ("R8", ("w_two_tangle", np.ones(40)), OutOfRange),
+        ("R8", ("w_two_tangle", "abc"), IncompatibleInput),
+        ("R9", (make_pure([1, 0, 0, 1], 2), 0), IncompatibleInput),
+        ("R9", (make_pure([1, 0, 0, 1], 2), ("a",)), IncompatibleInput),
+    ])
+    def test_bad_payload(self, monkeypatch, relation, payload, error):
+        """Refused with a QentError, and before any state is built."""
+        def built(*args):
+            raise AssertionError("a state was built for a refused payload")
+
+        for name in ("ghz_noise", "w", "w_class", "schmidt_weights"):
+            monkeypatch.setattr(verify, name, built)
+        with pytest.raises(error) as info:
+            check(relation, payload)
+        assert len(str(info.value)) < 100
+
+    @pytest.mark.parametrize("tol", ["1e-3", 1e-3j, [1e-3]])
+    def test_tol_that_is_not_a_number(self, tol):
+        with pytest.raises(IncompatibleInput):
+            check("R1", random_pure(2, 1), tol)
+
+    def test_payloads_at_the_site_cap_still_run(self):
+        assert len(check("R3", (8, 0.5))) == 9
+        assert len(check("R8", ("w_kme", 8))) == 7
+
+
+class TestSuiteCountCaps:
+    @pytest.mark.parametrize("relation,key", [
+        ("R1", "samples"), ("R3", "t_points"), ("R3", "random_t"), ("R7", "random_points"),
+    ])
+    def test_count_above_cap_refused(self, relation, key):
+        assert SuiteConfig(relations={relation: {key: verify.SUITE_MAX_COUNT}})
+        for value in (verify.SUITE_MAX_COUNT + 1, 10**40):
+            with pytest.raises(ConfigError) as info:
+                SuiteConfig(relations={relation: {key: value}})
+            assert len(str(info.value)) < 100
+
+    def test_grid_points_counted_before_the_product(self, monkeypatch):
+        def point(*args):
+            raise AssertionError("a grid point was formed")
+
+        monkeypatch.setattr(verify, "FamilyParams", point)
+        axis = [0.1 * i for i in range(300)]
+        with pytest.raises(ConfigError, match="grid has 8100000000 points"):
+            SuiteConfig(relations={"R7": {"families": [1], "grids": {"1": [axis] * 4}}})
+
+    def test_grid_at_the_cap_is_built(self):
+        axis = [0.1 * i for i in range(1, 11)]
+        config = SuiteConfig(relations={"R7": {"families": [1], "grids": {"1": [axis] * 4}}})
+        assert config.relations["R7"]["grids"]["1"] == [axis] * 4
+
+    @pytest.mark.parametrize("grid", [[[float("nan")]], [[float("inf")]], [[[0.5, float("nan")]]]])
+    def test_non_finite_grid_value_refused_when_built(self, grid):
+        with pytest.raises(OutOfRange):
+            SuiteConfig(relations={"R7": {"families": [6], "grids": {"6": grid}}})
+
+    @pytest.mark.parametrize("relations", [
+        {"R7": {"families": [6], "grids": {"6": [[10**400]]}}},
+        {"R1": {"tolerance": 10**400}},
+        {"R1": {"sizes": [10**400]}},
+    ])
+    def test_huge_values_echoed_short(self, relations):
+        with pytest.raises(ConfigError) as info:
+            SuiteConfig(relations=relations)
+        assert len(str(info.value)) < 120
