@@ -4,6 +4,11 @@ Subcommands: measure, invariants, family, verify, random.  Exit codes:
 0 on success, 1 when a verification suite reports failures, 2 on
 malformed input or configuration.  Values print with 12 significant
 digits; CSV output keeps full precision (17 significant digits).
+
+Each measure is called with the state as it was loaded: the library
+decides which kinds it takes, so a pure-state measure given a mixed
+state raises IncompatibleInput (exit 2), and a density-matrix measure
+given a pure state builds its projector.
 """
 from __future__ import annotations
 
@@ -15,7 +20,6 @@ from .errors import InputError, QentError, brief
 from .families import FAMILY_LABELS, FamilyParams, family_closed_forms, slocc_family
 from .invariants import invariants3, invariants4
 from .measures import (
-    _two_qubits,
     kme_concurrence_pure,
     negativity_profile,
     nme_lower_bound,
@@ -24,14 +28,7 @@ from .measures import (
     two_tangle,
     wootters_concurrence,
 )
-from .qstate import (
-    DensityMatrix,
-    PureState,
-    density_of,
-    load_state,
-    save_state,
-    state_to_json,
-)
+from .qstate import PureState, load_state, save_state, state_to_json
 from .verify import SUITE_MAX_COUNT, SuiteConfig, _csv_text, random_mixed, random_pure, run_suite
 
 DISPLAY = ".12g"
@@ -69,12 +66,6 @@ def _resolve_state(args):
     raise InputError("one of --state or --family is required")
 
 
-def _require_pure(state, what: str) -> PureState:
-    if not isinstance(state, PureState):
-        raise InputError(f"{what} needs a pure state input")
-    return state
-
-
 def _fmt(x: float) -> str:
     return format(float(x), DISPLAY)
 
@@ -84,7 +75,7 @@ def _fmt(x: float) -> str:
 
 
 def _kme_rows(psi: PureState, ks):
-    for k in ks or range(2, psi.num_sites + 1):
+    for k in ks or range(2, max(psi.num_sites, 2) + 1):
         rep = kme_concurrence_pure(psi, k)
         yield f"C_{k}-ME", rep.value, f"C_{k}-ME", rep.optimal_partition
 
@@ -112,45 +103,26 @@ def _invariant_rows(fn):
     return rows
 
 
-# What a row function takes: the state as given, its density matrix, or
-# a pure state, named by a label in the error that mixed input gets.
-_AS_GIVEN, _DENSITY = "as given", "density matrix"
-
-# measure -> (what the row function takes; rows)
+# measure -> its rows
 _MEASURES = {
-    "kme": ("k-ME concurrence", _kme_rows),
-    "negativity": (_AS_GIVEN, _negativity_rows),
-    "nme-bound": (_AS_GIVEN, _single("n-ME lower bound", "nme_lower_bound", nme_lower_bound)),
-    "one-tangle": ("one-tangle", _one_tangle_rows),
-    "two-tangle": (_DENSITY, _single("two-tangle", "two_tangle", two_tangle)),
-    "three-tangle": ("three-tangle", _single("three-tangle", "three_tangle", three_tangle)),
-    "wootters": (_DENSITY, _single("wootters concurrence", "wootters_concurrence",
-                               wootters_concurrence)),
-    "invariants3": ("invariants3", _invariant_rows(invariants3)),
-    "invariants4": ("invariants4", _invariant_rows(invariants4)),
+    "kme": _kme_rows,
+    "negativity": _negativity_rows,
+    "nme-bound": _single("n-ME lower bound", "nme_lower_bound", nme_lower_bound),
+    "one-tangle": _one_tangle_rows,
+    "two-tangle": _single("two-tangle", "two_tangle", two_tangle),
+    "three-tangle": _single("three-tangle", "three_tangle", three_tangle),
+    "wootters": _single("wootters concurrence", "wootters_concurrence", wootters_concurrence),
+    "invariants3": _invariant_rows(invariants3),
+    "invariants4": _invariant_rows(invariants4),
 }
 
 
 def _report(state, descriptor: str, measures: list[str], ks, csv_path) -> int:
-    """Print each measure's rows and write them to csv_path if given.
-
-    A pure state's density matrix is built at most once, and only for
-    the measures that need one.
-    """
+    """Print each measure's rows of the state and write them to csv_path if given."""
     print(f"state: {descriptor} ({state.num_sites} qubits)")
     rows = []
-    density = state if isinstance(state, DensityMatrix) else None
     for m in measures:
-        takes, measure_rows = _MEASURES[m]
-        if takes == _AS_GIVEN:
-            target = state
-        elif takes == _DENSITY:
-            if density is None:  # no 4^n projector for a state the measure refuses
-                density = density_of(_two_qubits(state))
-            target = density
-        else:
-            target = _require_pure(state, takes)
-        for label, value, csv_name, partition in measure_rows(target, ks):
+        for label, value, csv_name, partition in _MEASURES[m](state, ks):
             if partition is None:
                 print(f"{label} = {_fmt(value)}")
             else:
@@ -177,10 +149,9 @@ def _cmd_measure(args) -> int:
 
 def _cmd_invariants(args) -> int:
     state, descriptor = _resolve_state(args)
-    psi = _require_pure(state, "invariants")
-    if psi.num_sites not in (3, 4):
+    if state.num_sites not in (3, 4):
         raise InputError("invariants are defined for 3- or 4-qubit pure states")
-    return _report(psi, descriptor, [f"invariants{psi.num_sites}"], None, args.csv)
+    return _report(state, descriptor, [f"invariants{state.num_sites}"], None, args.csv)
 
 
 def _cmd_family(args) -> int:
@@ -213,13 +184,11 @@ def _cmd_random(args) -> int:
     else:
         rank = args.rank if args.rank is not None else 2
         state = random_mixed(args.sites, rank, args.seed)
-    text = state_to_json(state)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save_state(state, args.out)
         print(f"{args.kind} state on {args.sites} qubits written to {args.out}")
     else:
-        print(text)
+        print(state_to_json(state))
     return 0
 
 

@@ -43,7 +43,7 @@ class OutOfDomain(QentError):
 
 
 class IncompatibleInput(QentError):
-    """Input kind does not match what a relation checker expects."""
+    """Input kind does not match what a function or relation checker takes."""
 
 
 class ConfigError(QentError):

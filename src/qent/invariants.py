@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .qstate import PureState, clamped_sqrt, purity, reduced_density_pure
+from .qstate import PureState, _pure, clamped_sqrt, purity, reduced_density_pure
 
 # 3-partitions of A,B,C,D as (site, site, complement-pair purity index into i4)
 _C3_COMBOS_4Q = ((3, 2, 6), (3, 1, 5), (3, 0, 4), (2, 1, 4), (2, 0, 5), (1, 0, 6))
@@ -52,7 +52,7 @@ def _site_purity(psi: PureState, sites: tuple[int, ...]) -> float:
 
 def invariants3(psi: PureState) -> Invariants3:
     """Degree-2 and degree-4 invariants of a three-qubit pure state."""
-    if psi.num_sites != 3:
+    if _pure(psi).num_sites != 3:
         raise DimensionMismatch(f"need a three-qubit state, got {psi.num_sites} sites")
     i2 = float(np.real(np.vdot(psi.amplitudes, psi.amplitudes)))
     return Invariants3(
@@ -104,7 +104,7 @@ def kme_from_invariants3(inv: Invariants3) -> tuple[float, float]:
 def invariants4(psi: PureState) -> Invariants4:
     """Degree-2 and degree-4 invariants of a four-qubit pure state, in the
     fixed order (D, C, B, A, AD, BD, CD)."""
-    if psi.num_sites != 4:
+    if _pure(psi).num_sites != 4:
         raise DimensionMismatch(f"need a four-qubit state, got {psi.num_sites} sites")
     i2 = float(np.real(np.vdot(psi.amplitudes, psi.amplitudes)))
     return Invariants4(

@@ -17,7 +17,8 @@ qubits (n = 14, k = 7 takes about a minute).
 Negativity of qubit p is the trace norm of the partial transpose minus
 one (identically minus twice the sum of negative transposed
 eigenvalues).  negativity(rho, p) and transposed_profile(rho) take the
-transposing route: one dense 2^n x 2^n eigvalsh of rho^{T_p} per site.
+transposing route: one dense 2^n x 2^n eigvalsh of rho^{T_p} per site,
+of the projector for a pure state (qstate._density).
 negativity_profile and nme_lower_bound take the factored route:
 rho = W W^dag is factored once per state by qstate.density_factor (W is
 psi for a pure state or for density_of(psi); otherwise one eigh that
@@ -37,15 +38,16 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, OutOfRange
+from .errors import DimensionMismatch, IncompatibleInput, IndexOutOfRange, OutOfRange, brief
 from .partitions import MAX_SITES, Partition
 from .qstate import (
     DensityMatrix,
     PureState,
+    _density,
     _first_kept,
+    _pure,
     clamped_sqrt,
     density_factor,
-    density_of,
     partial_transpose,
     reduced_density_pure,
     schmidt_weights,
@@ -118,7 +120,7 @@ def _negativity_of_spectrum(ev: np.ndarray) -> float:
     return float(-2.0 * ev[ev <= NEGATIVE_EIGENVALUE_FLOOR].sum()) + 0.0
 
 
-def negativity(rho: DensityMatrix, site: int) -> float:
+def negativity(rho: Union[PureState, DensityMatrix], site: int) -> float:
     """Negativity of one qubit against the rest.
 
     Equals ||rho^{T_site}||_1 - 1; computed from the negative eigenvalues
@@ -152,9 +154,10 @@ def _factored_negativity(w: np.ndarray, n: int, site: int) -> float:
     return _negativity_of_spectrum(np.linalg.eigvalsh(r_full[:, swap] @ r_full.conj().T))
 
 
-def transposed_profile(rho: DensityMatrix) -> NegativityProfile:
+def transposed_profile(rho: Union[PureState, DensityMatrix]) -> NegativityProfile:
     """Negativity of every site of rho by the transposing route,
-    negativity(rho, p) for each p."""
+    negativity(rho, p) for each p; a pure state's projector is built once."""
+    rho = _density(rho)
     return NegativityProfile(tuple(negativity(rho, p) for p in range(rho.num_sites)))
 
 
@@ -166,13 +169,16 @@ def negativity_profile(state: Union[PureState, DensityMatrix]) -> NegativityProf
     site costs a few r x r and 4r x 4r products and eigensolves.  States
     with 8r >= 2^n, r counted in the density matrix's spectrum, take
     transposed_profile of the density matrix instead and are never
-    factored.  The profile is memoized on the state.
+    factored.  The profile is memoized on the state.  Anything that is
+    not a state raises IncompatibleInput.
 
     Dropping the factor's small eigenvalues moves each value away from
     negativity()'s by at most 3 * sum |dropped|: a Hermitian change D
     moves N by at most ||D^{T_p}||_1 + |Tr D|, and the dropped part has
     ||D^{T_p}||_1 <= 2 sum |dropped| and |Tr D| <= sum |dropped|.
     """
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise IncompatibleInput(f"need a state, got {type(state).__name__}")
     prof = state._memo.get("negativity")
     if prof is None:
         n = state.num_sites
@@ -180,9 +186,7 @@ def negativity_profile(state: Union[PureState, DensityMatrix]) -> NegativityProf
         if w is not None:
             prof = NegativityProfile(tuple(_factored_negativity(w, n, p) for p in range(n)))
         else:
-            prof = transposed_profile(
-                state if isinstance(state, DensityMatrix) else density_of(state)
-            )
+            prof = transposed_profile(state)
         prof = state._memo.setdefault("negativity", prof)
     return prof
 
@@ -318,11 +322,11 @@ def kme_concurrence_pure(psi: PureState, k: int) -> MeasureReport:
     rounded sqrt(2/k * sum) a scan over those sums would find.  Among
     partitions of exactly that value the lexicographically smallest
     canonical one (blocks compared as tuples) is reported.  Raises
-    OutOfRange unless 2 <= k <= n and n <= MAX_SITES (14).
+    OutOfRange unless k is an integer in [2, n] and n <= MAX_SITES (14).
     """
-    n = psi.num_sites
-    if not 2 <= k <= n:
-        raise OutOfRange(f"need 2 <= k <= num_sites, got k={k}, n={n}")
+    n = _pure(psi).num_sites
+    if not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
+        raise OutOfRange(f"need 2 <= k <= num_sites, got k={brief(k)}, n={n}")
     if n > MAX_SITES:
         raise OutOfRange(f"n={n} exceeds the k-ME cap of {MAX_SITES} sites")
     value, partition = _kme_minimum(_cut_entropy_table(psi, n - k + 1), n, k)
@@ -346,9 +350,9 @@ def nme_lower_bound(state: Union[PureState, DensityMatrix]) -> float:
 def one_tangle(psi: PureState, site: int) -> float:
     """4 det(rho_site): squared concurrence of one site against the rest."""
     n = psi.num_sites
-    if not 0 <= int(site) < n:
-        raise IndexOutOfRange(f"site {site} outside [0, {n})")
-    red = reduced_density_pure(psi, (int(site),))
+    if not isinstance(site, (int, np.integer)) or not 0 <= site < n:
+        raise IndexOutOfRange(f"site {brief(site)} outside [0, {n})")
+    red = reduced_density_pure(psi, site)
     return float(np.real(np.linalg.det(red)) * 4.0)
 
 
@@ -371,21 +375,22 @@ def _wootters(m: np.ndarray) -> float:
     return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
 
 
-def _two_qubits(state):
-    """state; DimensionMismatch unless it has two qubits."""
-    if state.num_sites != 2:
+def _two_qubit_density(state) -> DensityMatrix:
+    """The density matrix of a two-qubit state; DimensionMismatch for a
+    state of another qubit count, before any projector is built."""
+    if isinstance(state, (PureState, DensityMatrix)) and state.num_sites != 2:
         raise DimensionMismatch(f"need a two-qubit state, got {state.num_sites} sites")
-    return state
+    return _density(state)
 
 
-def wootters_concurrence(rho: DensityMatrix) -> float:
+def wootters_concurrence(rho: Union[PureState, DensityMatrix]) -> float:
     """Two-qubit mixed-state concurrence, max(0, mu1 - mu2 - mu3 - mu4)
     over the descending square roots mu_i of the spectrum of
-    rho * (sy x sy) rho* (sy x sy)."""
-    return _wootters(_two_qubits(rho).entries)
+    rho * (sy x sy) rho* (sy x sy), of the projector for a pure state."""
+    return _wootters(_two_qubit_density(rho).entries)
 
 
-def two_tangle(rho: DensityMatrix) -> float:
+def two_tangle(rho: Union[PureState, DensityMatrix]) -> float:
     """Squared Wootters concurrence of a two-qubit state."""
     return wootters_concurrence(rho) ** 2
 

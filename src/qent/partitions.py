@@ -44,10 +44,6 @@ class Partition:
     def num_sites(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
         """Canonicalize arbitrary block order into a Partition."""

@@ -15,6 +15,11 @@ given.  Density matrices that qent builds from states it already holds
 (density_of, partial_trace, families.ghz_noise, verify.Ensemble.density)
 come from _trusted_density and skip the checks.
 
+Functions of a pure state take it through the private gate _pure, and
+functions of a density matrix through _density, which builds
+density_of(psi) for a PureState.  Both refuse anything else with
+IncompatibleInput.
+
 PureState and DensityMatrix memoize quantities derived from their
 entries in a `_memo` dict that is not part of their identity: the
 cut-entropy table of measures.kme_concurrence_pure and the profile of
@@ -36,6 +41,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    IncompatibleInput,
     IndexOutOfRange,
     InputError,
     NotHermitian,
@@ -64,7 +70,10 @@ def sites_tuple(sites: Union[int, Iterable[int]], num_sites: int) -> tuple[int, 
     """Canonicalize a subsystem set to a sorted tuple of distinct site indices."""
     if isinstance(sites, (int, np.integer)):
         sites = (int(sites),)
-    out = tuple(sorted(int(s) for s in sites))
+    try:
+        out = tuple(sorted(int(s) for s in sites))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IndexOutOfRange(f"subsystem set {brief(sites)} is not site indices") from exc
     if not out:
         raise IndexOutOfRange("subsystem set must be non-empty")
     if len(set(out)) != len(out):
@@ -107,10 +116,6 @@ class PureState:
         if abs(norm - 1.0) > NORM_TOL:
             raise InputError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
-    @property
-    def dim(self) -> int:
-        return 2**self.num_sites
-
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis of size 2 per site."""
         return self.amplitudes.reshape((2,) * self.num_sites)
@@ -142,10 +147,6 @@ class DensityMatrix:
         if low < PSD_EIGENVALUE_FLOOR:
             raise InputError(f"eigenvalue {low:.3e} below PSD floor {PSD_EIGENVALUE_FLOOR}")
         self._memo["spectrum"] = spectrum
-
-    @property
-    def dim(self) -> int:
-        return 2**self.num_sites
 
 
 @dataclass(frozen=True)
@@ -199,10 +200,27 @@ def _trusted_density(entries: np.ndarray, num_sites: int, **memo) -> DensityMatr
     return rho
 
 
+def _pure(state) -> PureState:
+    """state itself; IncompatibleInput unless it is a PureState."""
+    if not isinstance(state, PureState):
+        raise IncompatibleInput(f"need a pure state, got {type(state).__name__}")
+    return state
+
+
+def _density(state) -> DensityMatrix:
+    """The density matrix of a state: a DensityMatrix itself, or
+    density_of(psi) for a PureState; IncompatibleInput for anything else."""
+    if isinstance(state, DensityMatrix):
+        return state
+    if isinstance(state, PureState):
+        return density_of(state)
+    raise IncompatibleInput(f"need a pure state or a density matrix, got {type(state).__name__}")
+
+
 def density_of(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| as a DensityMatrix, with psi (one
     column) memoized as its factor."""
-    amps = psi.amplitudes
+    amps = _pure(psi).amplitudes
     return _trusted_density(np.outer(amps, amps.conj()), psi.num_sites, factor=amps[:, None])
 
 
@@ -245,8 +263,12 @@ def density_factor(
     return w if w.shape[1] <= max_rank else None
 
 
-def partial_trace(rho: DensityMatrix, keep: Union[int, Iterable[int]]) -> DensityMatrix:
-    """Trace out every site not in `keep`; result has num_sites = len(keep)."""
+def partial_trace(
+    rho: Union[PureState, DensityMatrix], keep: Union[int, Iterable[int]]
+) -> DensityMatrix:
+    """Trace out every site not in `keep`; result has num_sites = len(keep).
+    A pure state is traced from its projector."""
+    rho = _density(rho)
     n = rho.num_sites
     keep_t = sites_tuple(keep, n)
     drop = [s for s in range(n) if s not in keep_t]
@@ -268,10 +290,11 @@ def reduced_density_pure(psi: PureState, keep: Union[int, Iterable[int]]) -> np.
 
 
 def _amplitude_matrix(psi: PureState, side_a: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes as a (2^|A|, 2^|Abar|) matrix, rows indexed by side A."""
+    """Amplitudes as a (2^|A|, 2^|Abar|) matrix, rows indexed by side A;
+    IncompatibleInput unless psi is a PureState."""
     n = psi.num_sites
     other = [s for s in range(n) if s not in side_a]
-    return psi.tensor().transpose(list(side_a) + other).reshape(2 ** len(side_a), -1)
+    return _pure(psi).tensor().transpose(list(side_a) + other).reshape(2 ** len(side_a), -1)
 
 
 def schmidt_weights(psi: PureState, side_a: Union[int, Iterable[int]]) -> np.ndarray:
@@ -294,12 +317,14 @@ def schmidt_spectrum(psi: PureState, side_a: Union[int, Iterable[int]]) -> Schmi
     return SchmidtSpectrum(tuple(schmidt_weights(psi, side_a)))
 
 
-def partial_transpose(rho: DensityMatrix, site: int) -> np.ndarray:
+def partial_transpose(rho: Union[PureState, DensityMatrix], site: int) -> np.ndarray:
     """Transpose of one tensor factor of rho.
 
     Returns a plain Hermitian unit-trace matrix that may fail positive
-    semidefiniteness; applying the same transpose twice restores rho.
+    semidefiniteness; applying the same transpose twice restores rho.  A
+    pure state is transposed from its projector.
     """
+    rho = _density(rho)
     return partial_transpose_sites(rho.entries, (site,), rho.num_sites)
 
 
@@ -334,9 +359,9 @@ def hermitian_eigenvalues(m: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
 
 def apply_local_unitary(psi: PureState, site: int, u: np.ndarray) -> PureState:
     """Apply a 2x2 unitary to one site of a pure state."""
-    n = psi.num_sites
-    if not 0 <= site < n:
-        raise IndexOutOfRange(f"site {site} outside [0, {n})")
+    n = _pure(psi).num_sites
+    if not isinstance(site, (int, np.integer)) or not 0 <= site < n:
+        raise IndexOutOfRange(f"site {brief(site)} outside [0, {n})")
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise DimensionMismatch(f"local unitary must be 2x2, got {u.shape}")

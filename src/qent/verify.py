@@ -10,7 +10,8 @@ evaluates one relation on one input and returns one result row per
 sub-relation.  run_suite() drives a configurable batch over fixed
 anchor states plus seeded random families through the same dispatch,
 serially, and aggregates a deterministic report.  Its SuiteConfig is
-checked in full when built, so _suite_cases only generates cases.
+checked in full when built, so _suite_cases only generates cases, one
+at a time as run_suite asks for them.
 
 Relations:
     R1  pure n-qubit identity: C_n-ME equals the negativity quadratic mean
@@ -81,9 +82,9 @@ from .measures import (
 from .qstate import (
     DensityMatrix,
     PureState,
+    _pure,
     _trusted_density,
     clamped_sqrt,
-    density_of,
     hermitian_eigenvalues,
     partial_transpose_sites,
     purity,
@@ -228,10 +229,9 @@ def _row(relation: RelationId, desc: str, lhs: float, rhs: float, tol: float,
 
 
 def _expect_pure(payload, n: Optional[int]):
-    if not isinstance(payload, PureState):
-        raise IncompatibleInput(f"expected a PureState, got {type(payload).__name__}")
-    if n is not None and payload.num_sites != n:
-        raise IncompatibleInput(f"expected {n} sites, got {payload.num_sites}")
+    sites = _pure(payload).num_sites
+    if n is not None and sites != n:
+        raise IncompatibleInput(f"expected {n} sites, got {sites}")
 
 
 def _num_sites(what: str, n) -> int:
@@ -267,7 +267,7 @@ def _ghz_noise_args(payload) -> tuple[int, float]:
 def _check_r1(psi: PureState, tol: float, tangle_tol: float):
     _expect_pure(psi, None)
     lhs = kme_concurrence_pure(psi, psi.num_sites).value
-    return [("", lhs, quadratic_mean(transposed_profile(density_of(psi)).per_site), tol, {})]
+    return [("", lhs, quadratic_mean(transposed_profile(psi).per_site), tol, {})]
 
 
 def _check_r2(ens: Ensemble, tol: float, tangle_tol: float):
@@ -291,7 +291,7 @@ def _check_r3(payload: tuple[int, float], tol: float, tangle_tol: float):
 
 def _check_r4(psi: PureState, tol: float, tangle_tol: float):
     _expect_pure(psi, 3)
-    prof = transposed_profile(density_of(psi)).per_site
+    prof = transposed_profile(psi).per_site
     return [
         ("C2 = min N", kme_concurrence_pure(psi, 2).value, min(prof), tol, {}),
         ("C3 = rms N", kme_concurrence_pure(psi, 3).value, quadratic_mean(prof), tol, {}),
@@ -329,7 +329,7 @@ def _check_r7(params: FamilyParams, tol: float, tangle_tol: float):
         raise IncompatibleInput("R7 expects FamilyParams")
     psi = slocc_family(params)
     pred = family_closed_forms(params)
-    direct_neg = transposed_profile(density_of(psi)).per_site
+    direct_neg = transposed_profile(psi).per_site
     direct_kme = {k: kme_concurrence_pure(psi, k).value for k in (2, 3, 4)}
     rows = [
         (f"C{k} closed form", closed, direct_kme[k], tol, {})
@@ -382,9 +382,7 @@ def _check_r8(payload, tol: float, tangle_tol: float):
 def _check_r9(payload, tol: float, tangle_tol: float):
     if not isinstance(payload, tuple) or len(payload) != 2:
         raise IncompatibleInput("R9 payload must be (PureState, side_a)")
-    psi, side = payload
-    if not isinstance(psi, PureState):
-        raise IncompatibleInput("R9 payload must contain a PureState")
+    psi, side = _pure(payload[0]), payload[1]
     try:
         side = tuple(int(s) for s in side)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -494,8 +492,12 @@ def _check_spec_value(name: str, key: str, value) -> None:
         ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
         need = "a list of integers"
         if key == "sizes":  # a size n builds 2^n-entry states or a 4^n density matrix
-            ok = ok and all(v <= SUITE_MAX_SITES for v in value)
-            need = f"a list of integers <= {SUITE_MAX_SITES}"
+            low = 3 if name == "R8" else 2  # W states start at 3 qubits, k-ME at 2
+            ok = ok and all(low <= v <= SUITE_MAX_SITES for v in value)
+            need = f"a list of integers in [{low}, {SUITE_MAX_SITES}]"
+        elif key == "ranks":  # SuiteConfig checks each against 2^n for every size n
+            ok = ok and all(v >= 1 for v in value)
+            need = "a list of integers >= 1"
         elif key == "families":
             ok = ok and all(v in FAMILY_LABELS for v in value)
             need = f"a list of family ids from {sorted(FAMILY_LABELS)}"
@@ -567,6 +569,8 @@ class SuiteConfig:
         normalized: dict[str, dict] = {}
         rels = self.relations
         if isinstance(rels, (list, tuple)):
+            if not all(isinstance(name, str) for name in rels):
+                raise ConfigError(f"relations list entries must be names, got {brief(rels)}")
             rels = {name: {} for name in rels}
         if not isinstance(rels, dict):
             raise ConfigError("relations must be a list or an object")
@@ -584,6 +588,9 @@ class SuiteConfig:
             for key, value in spec.items():
                 _check_spec_value(name, key, value)
             merged = copy.deepcopy({**defaults, **spec})
+            top = 2 ** min(merged.get("sizes") or [SUITE_MAX_SITES])
+            if any(rank > top for rank in merged.get("ranks", ())):
+                raise ConfigError(f"relation {name} ranks must be at most 2^n for every size n")
             grids = merged.get("grids") or {}
             if not isinstance(grids, dict):
                 raise ConfigError(f"{name} grids must map family id to per-parameter lists")
@@ -611,86 +618,83 @@ class SuiteConfig:
 
 
 def _suite_cases(config: SuiteConfig):
-    """Ordered (relation, payload, descriptor, tol, tangle_tol) tuples."""
-    base = config.seed
-    cases = []
+    """(relation, payload, descriptor, tol, tangle_tol) tuples in order,
+    each case and its state built only when it is asked for."""
+    for name, spec in sorted(config.relations.items()):
+        rel = RelationId(name)
+        for payload, desc in _relation_cases(rel, spec, config.seed):
+            yield rel, payload, desc, spec["tolerance"], spec.get("tangle_tolerance")
 
+
+def _relation_cases(rel: RelationId, spec: dict, base: int):
+    """(payload, descriptor) pairs of one relation's cases under seed `base`."""
     def seed_for(rel_no: int, i: int) -> int:
         return base * 1_000_003 + rel_no * 4099 + i
 
-    for name, spec in sorted(config.relations.items()):
-        rel = RelationId(name)
-        tol = spec["tolerance"]
-        ttol = spec.get("tangle_tolerance")
-
-        def add(payload, desc: str):
-            cases.append((rel, payload, desc, tol, ttol))
-
-        if rel is RelationId.R1:
-            add(slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)")
-            add(ghz(4), "ghz n=4")
-            for n in spec["sizes"]:
+    if rel is RelationId.R1:
+        yield slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)"
+        yield ghz(4), "ghz n=4"
+        for n in spec["sizes"]:
+            for i in range(spec["samples"]):
+                yield random_pure(n, seed_for(1, n * 1000 + i)), f"random n={n} #{i:03d}"
+    elif rel is RelationId.R2:
+        gn, gt = 3, 0.6
+        basis = np.eye(2**gn, dtype=complex)
+        states = [ghz(gn)] + [PureState(basis[z], gn) for z in range(2**gn)]
+        weights = [gt] + [(1 - gt) / 2**gn] * 2**gn
+        yield Ensemble(tuple(weights), tuple(states)), f"ghz_noise ensemble n={gn} t={gt}"
+        for n in spec["sizes"]:
+            for rank in spec["ranks"]:
                 for i in range(spec["samples"]):
-                    add(random_pure(n, seed_for(1, n * 1000 + i)), f"random n={n} #{i:03d}")
-        elif rel is RelationId.R2:
-            gn, gt = 3, 0.6
-            basis = np.eye(2**gn, dtype=complex)
-            states = [ghz(gn)] + [PureState(basis[z], gn) for z in range(2**gn)]
-            weights = [gt] + [(1 - gt) / 2**gn] * 2**gn
-            add(Ensemble(tuple(weights), tuple(states)), f"ghz_noise ensemble n={gn} t={gt}")
-            for n in spec["sizes"]:
-                for rank in spec["ranks"]:
-                    for i in range(spec["samples"]):
-                        s = seed_for(2, n * 10000 + rank * 100 + i)
-                        add(random_ensemble(n, rank, s), f"random n={n} rank={rank} #{i:03d}")
-        elif rel is RelationId.R3:
-            for n in spec["sizes"]:
-                lo = ghz_noise_threshold(n)
-                for i, tvis in enumerate(np.linspace(lo, 1.0, spec["t_points"])):
-                    add((n, float(tvis)), f"grid n={n} #{i:02d}")
-                rng = np.random.default_rng(seed_for(3, n))
-                for i in range(spec["random_t"]):
-                    add((n, float(rng.uniform(lo, 1.0))), f"random-t n={n} #{i:02d}")
-        elif rel in (RelationId.R4, RelationId.R5):
-            rel_no = 4 if rel is RelationId.R4 else 5
-            add(ghz(3), "ghz n=3")
-            add(w(3), "w n=3")
+                    s = seed_for(2, n * 10000 + rank * 100 + i)
+                    yield random_ensemble(n, rank, s), f"random n={n} rank={rank} #{i:03d}"
+    elif rel is RelationId.R3:
+        for n in spec["sizes"]:
+            lo = ghz_noise_threshold(n)
+            for i, tvis in enumerate(np.linspace(lo, 1.0, spec["t_points"])):
+                yield (n, float(tvis)), f"grid n={n} #{i:02d}"
+            rng = np.random.default_rng(seed_for(3, n))
+            for i in range(spec["random_t"]):
+                yield (n, float(rng.uniform(lo, 1.0))), f"random-t n={n} #{i:02d}"
+    elif rel in (RelationId.R4, RelationId.R5):
+        rel_no = 4 if rel is RelationId.R4 else 5
+        yield ghz(3), "ghz n=3"
+        yield w(3), "w n=3"
+        for i in range(spec["samples"]):
+            yield random_pure(3, seed_for(rel_no, i)), f"random n=3 #{i:03d}"
+    elif rel is RelationId.R6:
+        yield slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)"
+        yield slocc_family(FamilyParams(7)), "family L_0(5+3)"
+        for i in range(spec["samples"]):
+            yield random_pure(4, seed_for(6, i)), f"random n=4 #{i:03d}"
+    elif rel is RelationId.R7:
+        for fam in spec["families"]:
+            points = _custom_grid(spec["grids"] or {}, fam) or default_parameter_grid(fam)
+            for i, params in enumerate(points):
+                yield params, f"family {fam} grid #{i:02d}"
+            rng = np.random.default_rng(seed_for(7, fam))
+            nparams = FAMILY_PARAM_COUNTS[fam]
+            for i in range(spec["random_points"] if nparams else 0):
+                vals = rng.uniform(-1.2, 1.2, size=(4, 2))
+                args = [complex(re, im) for re, im in vals][:nparams]
+                yield FamilyParams(fam, *args), f"family {fam} random #{i:02d}"
+    elif rel is RelationId.R8:
+        for n in spec["sizes"]:
+            yield ("w_kme", n), f"w n={n}"
+        yield ("w_two_tangle", np.ones(3) / np.sqrt(3)), "uniform w n=3"
+        for i in range(spec["samples"]):
+            n = [3, 4, 5, 6][i % 4]
+            rng = np.random.default_rng(seed_for(8, i))
+            coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+            coeffs /= np.linalg.norm(coeffs)
+            yield ("w_two_tangle", coeffs), f"random coeffs n={n} #{i:03d}"
+    elif rel is RelationId.R9:
+        bell = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), 2)
+        yield (bell, (0,)), "bell cut 1|1"
+        for ci, (na, nb) in enumerate(spec["cuts"]):
             for i in range(spec["samples"]):
-                add(random_pure(3, seed_for(rel_no, i)), f"random n=3 #{i:03d}")
-        elif rel is RelationId.R6:
-            add(slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)")
-            add(slocc_family(FamilyParams(7)), "family L_0(5+3)")
-            for i in range(spec["samples"]):
-                add(random_pure(4, seed_for(6, i)), f"random n=4 #{i:03d}")
-        elif rel is RelationId.R7:
-            for fam in spec["families"]:
-                points = _custom_grid(spec["grids"] or {}, fam) or default_parameter_grid(fam)
-                for i, params in enumerate(points):
-                    add(params, f"family {fam} grid #{i:02d}")
-                rng = np.random.default_rng(seed_for(7, fam))
-                nparams = FAMILY_PARAM_COUNTS[fam]
-                for i in range(spec["random_points"] if nparams else 0):
-                    vals = rng.uniform(-1.2, 1.2, size=(4, 2))
-                    args = [complex(re, im) for re, im in vals][:nparams]
-                    add(FamilyParams(fam, *args), f"family {fam} random #{i:02d}")
-        elif rel is RelationId.R8:
-            for n in spec["sizes"]:
-                add(("w_kme", n), f"w n={n}")
-            add(("w_two_tangle", np.ones(3) / np.sqrt(3)), "uniform w n=3")
-            for i in range(spec["samples"]):
-                n = [3, 4, 5, 6][i % 4]
-                rng = np.random.default_rng(seed_for(8, i))
-                coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
-                coeffs /= np.linalg.norm(coeffs)
-                add(("w_two_tangle", coeffs), f"random coeffs n={n} #{i:03d}")
-        elif rel is RelationId.R9:
-            bell = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), 2)
-            add((bell, (0,)), "bell cut 1|1")
-            for ci, (na, nb) in enumerate(spec["cuts"]):
-                for i in range(spec["samples"]):
-                    psi = _random_rank2(int(na), int(nb), seed_for(9, ci * 1000 + i))
-                    add((psi, tuple(range(int(na)))), f"rank2 cut {na}|{nb} #{i:03d}")
-    return cases
+                psi = _random_rank2(int(na), int(nb), seed_for(9, ci * 1000 + i))
+                yield (psi, tuple(range(int(na)))), f"rank2 cut {na}|{nb} #{i:03d}"
 
 
 def _random_rank2(na: int, nb: int, seed: int) -> PureState:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qent import PureState, linear_entropy_pure, make_pure, state_to_json, w
-from qent import cli, verify
+from qent import cli, qstate, verify
 from qent.cli import main
 
 
@@ -108,7 +108,7 @@ class TestMeasureCommand:
         def no_projector(psi):
             raise AssertionError("density_of called for negativity on pure input")
 
-        monkeypatch.setattr(cli, "density_of", no_projector)
+        monkeypatch.setattr(qstate, "density_of", no_projector)
         n = 14
         rng = np.random.default_rng(14)
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -129,13 +129,16 @@ class TestMeasureCommand:
 
     def test_density_built_once_per_state(self, bell_file, capsys, monkeypatch):
         built = []
-        density_of = cli.density_of
-        monkeypatch.setattr(cli, "density_of", lambda psi: built.append(psi) or density_of(psi))
+        density_of = qstate.density_of
+        monkeypatch.setattr(qstate, "density_of", lambda psi: built.append(psi) or density_of(psi))
         argv = ["measure", "--state", str(bell_file),
                 "--measures", "negativity,two-tangle,nme-bound,wootters"]
         assert main(argv) == 0
         assert "two-tangle = 1" in capsys.readouterr().out
-        assert len(built) == 1
+        # one projector per measure that needs it: negativity (at n = 2 the
+        # profile takes the transposing route), two-tangle and wootters;
+        # nme-bound reuses the profile memoized on the state
+        assert len(built) == 3
 
     def test_malformed_state_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -202,7 +205,7 @@ class TestMeasureCommand:
         def no_projector(psi):
             raise AssertionError("density_of called for a state of more than two qubits")
 
-        monkeypatch.setattr(cli, "density_of", no_projector)
+        monkeypatch.setattr(qstate, "density_of", no_projector)
         product = np.zeros(2**11, dtype=complex)
         product[0] = 1.0
         state = tmp_path / "n11.json"
@@ -261,6 +264,31 @@ class TestMeasureCommand:
         # three-tangle needs three qubits; surfaced as message + exit 2
         assert main(["measure", "--state", str(bell_file), "--measures", "three-tangle"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--measures", "kme"], ["measure", "--measures", "one-tangle"],
+        ["measure", "--measures", "three-tangle"], ["measure", "--measures", "invariants3"],
+        ["measure", "--measures", "kme", "--k", "2"], ["invariants"],
+    ])
+    def test_pure_state_measures_refuse_a_mixed_file(self, tmp_path, capsys, argv):
+        state = tmp_path / "mixed.json"
+        state.write_text(state_to_json(verify.random_mixed(3, 2, 3)))
+        assert main(argv + ["--state", str(state)]) == 2
+        assert "need a pure state, got DensityMatrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_default_kme_of_one_qubit_exits_2(self, tmp_path, capsys, kind):
+        """No k applies to one qubit: refused for either kind, not an empty table."""
+        state = tmp_path / "one.json"
+        build = verify.random_pure(1, 4) if kind == "pure" else verify.random_mixed(1, 2, 4)
+        state.write_text(state_to_json(build))
+        assert main(["measure", "--state", str(state)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_huge_k_echoed_short(self, capsys):
+        assert main(["measure", "--family", "8", "--k", "9" * 35]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "9" * 13 not in err and len(err) < 120, err
 
 
 class TestInvariantsCommand:
@@ -483,6 +511,33 @@ class TestOutsideValuesExit2:
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"relations": relations}).replace('"NaN"', "NaN"))
         assert main(["verify", "--suite", str(suite)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err) < 120, err
+
+    @pytest.mark.parametrize("text", [
+        '{"relations": [["R1"]]}',
+        '{"relations": ["R1", 3]}',
+        '{"relations": {"R1": {"sizes": [1]}}}',
+        '{"relations": {"R2": {"sizes": [1]}}}',
+        '{"relations": {"R1": {"samples": 1500}, "R3": {"sizes": [1]}}}',
+        '{"relations": {"R1": {"samples": 1500}, "R8": {"sizes": [2]}}}',
+        '{"relations": {"R2": {"ranks": [0]}}}',
+        '{"relations": {"R2": {"ranks": [5]}}}',
+        '{"relations": {"R2": {"sizes": [3, 2], "ranks": [8]}}}',
+    ])
+    def test_config_refused_before_any_check(self, tmp_path, capsys, monkeypatch, text):
+        """Refused when the config is built: no case is run, or generated."""
+        def ran(case):
+            raise AssertionError(f"a check ran: {case[0]}")
+
+        monkeypatch.setattr(verify, "_run_case", ran)
+        with pytest.raises(verify.ConfigError):
+            verify.SuiteConfig.from_json(text)
+        suite = tmp_path / "suite.json"
+        suite.write_text(text)
+        start = time.perf_counter()
+        assert main(["verify", "--suite", str(suite)]) == 2
+        assert time.perf_counter() - start < 0.5
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err) < 120, err
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,15 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError):
             SuiteConfig(relations=relations)
 
+    @pytest.mark.parametrize("relations", [
+        {"R1": {"sizes": [2]}, "R3": {"sizes": [2]}, "R8": {"sizes": [3]}},
+        {"R2": {"sizes": [2, 3], "ranks": [1, 4]}},
+        {"R2": {"sizes": [3], "ranks": [8]}},
+        {"R2": {"sizes": [], "ranks": [256]}},
+    ])
+    def test_smallest_sizes_and_largest_ranks_accepted(self, relations):
+        assert set(SuiteConfig(relations=relations).relations) == set(relations)
+
     def test_json_integer_over_digit_limit(self):
         with pytest.raises(ConfigError):
             SuiteConfig.from_json('{"seed": %s}' % ("1" * 5000))
@@ -257,6 +267,16 @@ class TestRunSuite:
         assert len(tangle) == 6 * 4 + 3 + (3 + 6 + 10 + 15)
         assert all(r.tolerance == 1e-6 and r.verdict == "pass" for r in tangle)
         assert other and all(r.tolerance == 1e-17 for r in other)
+
+    def test_cases_stream(self):
+        """The first case comes before the others are built: this config
+        has 100,001 cases, which took seconds to build all at once."""
+        config = SuiteConfig(relations={"R2": {"sizes": [2] * 10, "ranks": [2] * 10,
+                                               "samples": 1000}})
+        start = time.perf_counter()
+        rel, payload, desc, _, _ = next(verify._suite_cases(config))
+        assert time.perf_counter() - start < 0.2
+        assert (rel, desc) == (RelationId.R2, "ghz_noise ensemble n=3 t=0.6")
 
     def test_report_sorted(self):
         config = SuiteConfig(seed=2, relations={"R1": {"sizes": [2], "samples": 3}})
