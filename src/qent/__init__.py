@@ -51,6 +51,7 @@ from .measures import (
     MeasureReport,
     NegativityProfile,
     kme_concurrence_pure,
+    kme_concurrence_stack,
     linear_entropy_pure,
     negativity,
     negativity_profile,

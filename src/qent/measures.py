@@ -11,8 +11,10 @@ prefixes (each step adds the block holding the lowest unused site)
 finds the least right-nested block sum S(B_1) + (S(B_2) + (... + S(B_k)))
 exactly.  The reported partition is the lexicographically smallest
 canonical one that attains the rounded minimum, found by a greedy walk
-over the same DP.  k-ME refuses states of more than MAX_SITES = 14
-qubits (n = 14, k = 7 takes about a minute).
+over the same DP.  kme_concurrence_stack does this for a stack of
+states at once, with stacked SVD calls and a leading state axis, and
+kme_concurrence_pure is its stack of one.  k-ME refuses states of more
+than MAX_SITES = 14 qubits (n = 14, k = 7 takes about a minute).
 
 Negativity of qubit p is the trace norm of the partial transpose minus
 one (identically minus twice the sum of negative transposed
@@ -34,7 +36,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from .qstate import (
     _density,
     _first_kept,
     _pure,
-    clamped_sqrt,
     density_factor,
     partial_transpose,
     reduced_density_pure,
@@ -66,8 +67,9 @@ FACTORED_RANK_RATIO = 8
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_SY, _SY)
 
-# cuts stacked into one batched SVD call when filling the cut-entropy table
-SVD_CHUNK = 16
+# most amplitudes one stacked SVD call holds when filling cut-entropy
+# tables: 16 cuts of a 10-qubit state
+SVD_AMPLITUDES = 16 * 2**10
 
 
 @dataclass(frozen=True)
@@ -191,60 +193,96 @@ def negativity_profile(state: Union[PureState, DensityMatrix]) -> NegativityProf
     return prof
 
 
-def _submasks(positions: list[int]) -> np.ndarray:
-    """Every bitmask over the given bit positions, the empty one first."""
-    out = np.zeros(1 << len(positions), dtype=np.intp)
-    for i, p in enumerate(positions):
-        out[1 << i : 2 << i] = out[: 1 << i] | (1 << p)
-    return out
+@functools.lru_cache(maxsize=32)
+def _cuts(n: int, size: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """For each block of `size` of n sites in combinations() order, the
+    axes that move a stack of state tensors (stack axis first) to the
+    block's sites then the rest, and the block's bitmask."""
+    blocks = list(combinations(range(n), size))
+    axes = tuple((0, *(1 + s for s in b), *(1 + s for s in range(n) if s not in b)) for b in blocks)
+    masks = np.array([sum(1 << s for s in b) for b in blocks])
+    masks.setflags(write=False)
+    return axes, masks
 
 
-def _cut_entropy_table(psi: PureState, max_size: int) -> np.ndarray:
-    """S_L(B) for every block bitmask B (bit i = site i) of up to max_size sites.
+def _cut_entropy_tables(states: list[PureState], max_size: int) -> np.ndarray:
+    """S_L(B) for every block bitmask B (bit i = site i) of up to max_size
+    sites, one row per state; the states share one site count.
 
     Every other entry (the empty block, the full set and sizes not yet
-    filled) holds inf.  The table is cached on psi and grows one block
-    size at a time.  Each block gets its own SVD, also when its
+    filled) holds inf.  Each state's table is cached on it and grows one
+    block size at a time.  Each block gets its own SVD, also when its
     complement is in the table, so every entry equals
-    linear_entropy_pure(psi, block) bit for bit; the SVDs are batched
-    SVD_CHUNK cuts per call.
+    linear_entropy_pure(psi, block) bit for bit; the cuts of one size go
+    into stacked SVD calls of at most SVD_AMPLITUDES amplitudes.
     """
-    n = psi.num_sites
-    table = psi._memo.get("cut_entropy")
-    if table is None:
-        table = psi._memo.setdefault("cut_entropy", np.full(1 << n, np.inf))
-    tensor = psi.tensor()
+    n = states[0].num_sites
+    tables = [psi._memo.get("cut_entropy") for psi in states]
+    tables = [psi._memo.setdefault("cut_entropy", np.full(1 << n, np.inf)) if t is None else t
+              for psi, t in zip(states, tables)]
+    # sizes are filled in order and blocks in combinations() order, so a
+    # table holds a size once it holds that size's last block, the top sites
+    top = [((1 << size) - 1) << (n - size) for size in range(max_size + 1)]
+    short = [i for i, table in enumerate(tables) if table[top[max_size]] == np.inf]
+    cuts = max(1, SVD_AMPLITUDES >> n)  # cuts one SVD call may hold
     for size in range(1, max_size + 1):
-        # blocks are written in combinations() order, so a size is
-        # complete once its last block, the top `size` sites, is
-        if np.isfinite(table[((1 << size) - 1) << (n - size)]):
+        cold = [i for i in short if tables[i][top[size]] == np.inf]
+        if not cold:
             continue
-        blocks = list(combinations(range(n), size))
-        for start in range(0, len(blocks), SVD_CHUNK):
-            chunk = blocks[start : start + SVD_CHUNK]
-            stack = np.empty((len(chunk), 2**size, 2 ** (n - size)), dtype=complex)
-            for mat, block in zip(stack, chunk):
-                rest = tuple(s for s in range(n) if s not in block)
-                mat.reshape((2,) * n)[...] = tensor.transpose(block + rest)
-            sing = np.linalg.svd(stack, compute_uv=False)
-            masks = [sum(1 << s for s in block) for block in chunk]
-            table[masks] = _linear_entropy_rows(np.clip(sing, 0.0, None) ** 2)
-    return table
+        axes, masks = _cuts(n, size)
+        per_call = max(1, cuts // len(cold))  # blocks of each state in one call
+        states_per_call = max(1, cuts // per_call)
+        for lo in range(0, len(cold), states_per_call):
+            group = cold[lo : lo + states_per_call]
+            tensors = np.array([states[i].tensor() for i in group])
+            for start in range(0, len(axes), per_call):
+                chunk = axes[start : start + per_call]
+                stack = np.empty((len(chunk), len(group), 2**size, 2 ** (n - size)), dtype=complex)
+                for mats, order in zip(stack, chunk):
+                    mats.reshape((len(group),) + (2,) * n)[...] = tensors.transpose(order)
+                sing = np.linalg.svd(stack, compute_uv=False)
+                lam = np.clip(sing, 0.0, None).reshape(-1, sing.shape[-1]) ** 2
+                ent = _linear_entropy_rows(lam).reshape(len(chunk), len(group))
+                for i, column in zip(group, ent.T):
+                    tables[i][masks[start : start + per_call]] = column
+    return np.array(tables)
+
+
+class _Plan(NamedTuple):
+    """The steps of the k-ME DP, grouped by prefix, the groups ordered by
+    the prefix's site count and then its mask, the steps of a group in
+    the lexicographic order of their blocks' site tuples.  Group 0 is the
+    empty prefix's: its blocks hold site 0."""
+
+    block: np.ndarray  # the block of each step
+    rest: np.ndarray  # the sites each step leaves: full ^ prefix ^ block
+    nxt: np.ndarray  # the group whose prefix is each step's prefix | block, else the group count
+    starts: np.ndarray  # the first step of each group, then the step count
+    last: np.ndarray  # the last step of each group
+    # for j = 0 .. k - 2, the groups a prefix of j blocks can reach, lo:hi:
+    # (lo, hi, their first step, their segments from it, 0 .. widest - 1)
+    layers: tuple[tuple[int, int, int, np.ndarray, np.ndarray], ...]
 
 
 @functools.lru_cache(maxsize=16)
-def _prefix_steps(n: int, max_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every step of the DP after the first block, as (prefix, block) masks.
+def _kme_plan(n: int, k: int) -> _Plan:
+    """Every step of the k-ME DP, as (prefix, block) masks.
 
-    The prefix holds site 0 and every site below m, the lowest site it
-    lacks; the block holds m, avoids the prefix, has at most max_size
-    sites and leaves at least one site for the blocks after it.
+    The first step's prefix is empty and its block holds site 0.  A later
+    prefix holds site 0 and every site below m, the lowest site it lacks;
+    its block holds m and avoids the prefix.  Every block has at most
+    n - k + 1 sites and leaves at least one site for the blocks after it.
+    A prefix of j >= 1 blocks has j to n - k + j sites.
     """
     full = (1 << n) - 1
     count = np.zeros(1 << n, dtype=np.intp)  # sites in each bitmask
+    rank = np.zeros(1 << n, dtype=np.int64)  # orders bitmasks as ascending site tuples
     for i in range(n):
+        # site i follows every site of the masks below 1 << i: it is
+        # digit count + 1 of a base-(n + 1) number, 0 marking no site
+        rank[1 << i : 2 << i] = rank[: 1 << i] + (i + 1) * (n + 1) ** (n - 1 - count[: 1 << i])
         count[1 << i : 2 << i] = count[: 1 << i] + 1
-    prefixes, blocks = [], []
+    prefixes, blocks = [np.zeros(1 << (n - 1), dtype=np.intp)], [np.arange(1, 1 << n, 2)]
     for m in range(1, n):
         # each site above m is in the prefix, in the block, or in neither
         digits = np.arange(3 ** (n - 1 - m))
@@ -254,59 +292,107 @@ def _prefix_steps(n: int, max_size: int) -> tuple[np.ndarray, np.ndarray]:
             digits, d = np.divmod(digits, 3)
             above_p |= (d == 1) << i
             above_b |= (d == 2) << i
-        prefix = ((1 << m) - 1) | above_p
-        block = (1 << m) | above_b
-        keep = (count[block] <= max_size) & ((prefix | block) != full)
-        prefixes.append(prefix[keep])
-        blocks.append(block[keep])
-    steps = np.concatenate(prefixes), np.concatenate(blocks)
-    for a in steps:
+        prefixes.append(((1 << m) - 1) | above_p)
+        blocks.append((1 << m) | above_b)
+    prefix, block = np.concatenate(prefixes), np.concatenate(blocks)
+    keep = (count[block] <= n - k + 1) & ((prefix | block) != full)
+    prefix, block = prefix[keep], block[keep]
+    order = np.lexsort((rank[block], prefix, count[prefix]))
+    prefix, block = prefix[order], block[order]
+    starts = np.flatnonzero(np.diff(prefix, prepend=-1))
+    heads = prefix[starts]
+    group = np.full(1 << n, len(heads))
+    group[heads] = np.arange(len(heads))
+    starts = np.append(starts, len(block))
+    by_size = np.searchsorted(count[heads], np.arange(n + 2))  # first group of c sites
+    layers = []
+    for j in range(k - 1):
+        lo, hi = (0, 1) if j == 0 else (by_size[j], by_size[n - k + j + 1])
+        widest = np.diff(starts[lo : hi + 1]).max()
+        layers.append((lo, hi, starts[lo], starts[lo:hi] - starts[lo], np.arange(widest)))
+    small = np.int32  # halves the cached plan; masks and group ids stay below 2^14
+    plan = _Plan(block.astype(small), (full ^ prefix ^ block).astype(small),
+                 group[prefix | block].astype(small), starts, starts[1:] - 1, tuple(layers))
+    for a in plan[:5]:
         a.setflags(write=False)
-    return steps
+    return plan
 
 
-def _kme_minimum(table: np.ndarray, n: int, k: int) -> tuple[float, Partition]:
+def _kme_minima(tables: np.ndarray, n: int, k: int) -> list[tuple[float, Partition]]:
     """The k-ME value and the lexicographically smallest canonical
-    k-partition attaining it.
+    k-partition attaining it, for each row of a stack of cut-entropy
+    tables.
 
     A partition's block sum is right-nested in canonical block order,
-    S(B_1) + (S(B_2) + (... + S(B_k))).  completion[j][U] is the least
-    sum of the k - j blocks that complete a prefix of j blocks with union
-    U, from a backward DP over canonical steps.  Float addition is
+    S(B_1) + (S(B_2) + (... + S(B_k))).  A backward DP over canonical
+    steps gives sums[j][:, t], the least sum of the k - j blocks that
+    step t and the steps after it add to a prefix of j blocks; the last
+    block is what the step before it leaves.  Float addition is
     monotone, so a prefix nested around its least completion gives the
     least sum of every partition that starts with it: the minimum is
     exact, and a greedy walk keeps, block by block, the first candidate
     in lexicographic order whose least sum still rounds to the k-ME value.
     """
-    full = (1 << n) - 1
-    completion = [None] * k
-    completion[k - 1] = table[np.arange(1 << n) ^ full]
-    prefix, block = _prefix_steps(n, n - k + 1)
-    for j in range(k - 2, 0, -1):
-        completion[j] = np.full(1 << n, np.inf)
-        np.minimum.at(completion[j], prefix, table[block] + completion[j + 1][prefix | block])
+    block, rest, nxt, starts, last, layers = _kme_plan(n, k)
+    count = len(tables)
+    entropy = tables.take(block, 1)
+    sums = [None] * (k - 1)
+    for j in range(k - 2, -1, -1):
+        lo, hi, first, segments, _ = layers[j]
+        steps = slice(first, starts[hi])
+        after = tables.take(rest[steps], 1) if j == k - 2 else least.take(nxt[steps], 1)
+        sums[j] = entropy[:, steps] + after
+        if j:
+            least = np.full((count, len(starts)), np.inf)  # the last column: no group
+            np.minimum.reduceat(sums[j], segments, axis=1, out=least[:, lo:hi])
 
-    def lex(mask: int) -> tuple[int, ...]:
-        """Sites of a block bitmask, ascending: the order ties are broken in."""
-        return tuple(i for i in range(n) if mask >> i & 1)
-
-    chosen, used = [], 0
+    rows = np.arange(count)[:, None]
+    value = np.sqrt(2.0 * sums[0].min(axis=1) / k)
+    target = value[:, None]
+    group, nested, chosen = np.zeros(count, dtype=np.intp), [], []
     for j in range(k - 1):
-        rest = full ^ used
-        low = rest & -rest
-        # candidates too large to leave a site for each later block have
-        # an infinite completion
-        cand = low | _submasks([i for i in range(n) if rest >> i & 1 and 1 << i != low])
-        sums = table[cand] + completion[j + 1][used | cand]
-        for b in reversed(chosen):
-            sums = table[b] + sums
-        if j == 0:
-            value = clamped_sqrt(2.0 * float(sums.min()) / k)
-        first = min(cand[np.sqrt(2.0 * sums / k) == value].tolist(), key=lex)
-        chosen.append(first)
-        used |= first
-    chosen.append(full ^ used)
-    return value, Partition(tuple(lex(b) for b in chosen))
+        _, _, first, _, span = layers[j]
+        lo = starts[group]
+        # a state with a smaller group repeats its last step to fill the row
+        steps = np.minimum(lo[:, None] + span, last[group][:, None])
+        total = sums[j][rows, steps - first]
+        for s in reversed(nested):
+            total = s + total
+        step = lo + (np.sqrt(2.0 * total / k) == target).argmax(1)
+        chosen.append(block[step])
+        nested.append(entropy[rows, step[:, None]])
+        group = nxt[step]
+    masks = np.array(chosen + [rest[step]]).T.tolist()
+    return [
+        (float(v), Partition(tuple(tuple(i for i in range(n) if b >> i & 1) for b in row)))
+        for v, row in zip(value, masks)
+    ]
+
+
+def kme_concurrence_stack(states, k: int) -> tuple[MeasureReport, ...]:
+    """kme_concurrence_pure(psi, k) for each pure state of a sequence, bit
+    for bit; the states of each site count share stacked SVD calls for
+    their tables and one DP with a leading state axis.  Raises
+    IncompatibleInput for anything but a sequence of pure states, and
+    OutOfRange as kme_concurrence_pure does for any of them."""
+    try:
+        states = [_pure(psi) for psi in states]
+    except TypeError as exc:
+        raise IncompatibleInput(f"need a sequence of pure states, got {brief(states)}") from exc
+    by_size: dict[int, list[int]] = {}
+    for i, psi in enumerate(states):
+        n = psi.num_sites
+        if not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
+            raise OutOfRange(f"need 2 <= k <= num_sites, got k={brief(k)}, n={n}")
+        if n > MAX_SITES:
+            raise OutOfRange(f"n={n} exceeds the k-ME cap of {MAX_SITES} sites")
+        by_size.setdefault(n, []).append(i)
+    reports = [None] * len(states)
+    for n, at in by_size.items():
+        tables = _cut_entropy_tables([states[i] for i in at], n - k + 1)
+        for i, (value, partition) in zip(at, _kme_minima(tables, n, k)):
+            reports[i] = MeasureReport(f"C_{k}-ME", value, partition)
+    return tuple(reports)
 
 
 def kme_concurrence_pure(psi: PureState, k: int) -> MeasureReport:
@@ -323,14 +409,9 @@ def kme_concurrence_pure(psi: PureState, k: int) -> MeasureReport:
     partitions of exactly that value the lexicographically smallest
     canonical one (blocks compared as tuples) is reported.  Raises
     OutOfRange unless k is an integer in [2, n] and n <= MAX_SITES (14).
+    This is kme_concurrence_stack on a stack of one state.
     """
-    n = _pure(psi).num_sites
-    if not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
-        raise OutOfRange(f"need 2 <= k <= num_sites, got k={brief(k)}, n={n}")
-    if n > MAX_SITES:
-        raise OutOfRange(f"n={n} exceeds the k-ME cap of {MAX_SITES} sites")
-    value, partition = _kme_minimum(_cut_entropy_table(psi, n - k + 1), n, k)
-    return MeasureReport(measure_name=f"C_{k}-ME", value=value, optimal_partition=partition)
+    return kme_concurrence_stack((psi,), k)[0]
 
 
 def quadratic_mean(values: tuple[float, ...]) -> float:

@@ -66,14 +66,21 @@ def clamped_sqrt(x: float) -> float:
     return float(np.sqrt(x))
 
 
+def _is_site(value) -> bool:
+    """True for an int or numpy integer that is not a bool; never a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def sites_tuple(sites: Union[int, Iterable[int]], num_sites: int) -> tuple[int, ...]:
-    """Canonicalize a subsystem set to a sorted tuple of distinct site indices."""
-    if isinstance(sites, (int, np.integer)):
-        sites = (int(sites),)
+    """Canonicalize a subsystem set to a sorted tuple of distinct site
+    indices; IndexOutOfRange for anything but _is_site values."""
     try:
-        out = tuple(sorted(int(s) for s in sites))
-    except (TypeError, ValueError, OverflowError) as exc:
+        items = (sites,) if _is_site(sites) else tuple(sites)
+    except TypeError as exc:
         raise IndexOutOfRange(f"subsystem set {brief(sites)} is not site indices") from exc
+    if not all(_is_site(s) for s in items):
+        raise IndexOutOfRange(f"subsystem set {brief(sites)} is not site indices")
+    out = tuple(sorted(int(s) for s in items))
     if not out:
         raise IndexOutOfRange("subsystem set must be non-empty")
     if len(set(out)) != len(out):
@@ -245,10 +252,12 @@ def density_factor(
     spectrum (the one validation computed, or one eigvalsh memoized on
     first use for a trusted matrix), so refusing a state of too high a
     rank costs no eigh, and otherwise takes W from one eigh.  W is not
-    memoized.
+    memoized.  Anything that is not a state raises IncompatibleInput.
     """
     if isinstance(state, PureState):
         w = state.amplitudes[:, None]
+    elif not isinstance(state, DensityMatrix):
+        raise IncompatibleInput(f"need a state, got {type(state).__name__}")
     else:
         w = state._memo.get("factor")
     if w is None:

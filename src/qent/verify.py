@@ -1,17 +1,19 @@
 """Relation-verification harness.
 
 Each RelationId names one quantitative relation among the measures.  A
-relation's checker is a plain function from its payload and tolerances
-to bare rows (label, lhs, rhs, tolerance, row options); it knows
-neither its relation nor the case's descriptor.  _run_case() is the
-only dispatch: it calls the checker and stamps each row with the
-relation and the descriptor joined to the row's label.  check()
-evaluates one relation on one input and returns one result row per
-sub-relation.  run_suite() drives a configurable batch over fixed
-anchor states plus seeded random families through the same dispatch,
-serially, and aggregates a deterministic report.  Its SuiteConfig is
-checked in full when built, so _suite_cases only generates cases, one
-at a time as run_suite asks for them.
+relation's checker is a plain function from a list of payloads and the
+tolerances to one list of bare rows (label, lhs, rhs, tolerance, row
+options) per payload; it knows neither its relation nor the cases'
+descriptors.  Checkers take k-ME for all their payloads from one
+measures.kme_concurrence_stack call per k.  _run_group() is the only
+dispatch: it calls the checker, and _run_case() stamps each case's rows
+with the relation and the descriptor joined to the row's label.
+check() evaluates one relation on one input, a group of one.
+run_suite() drives a configurable batch over fixed anchor states plus
+seeded random families through the same dispatch, serially, in groups
+of consecutive cases of one relation, and aggregates a deterministic
+report.  Its SuiteConfig is checked in full when built, so
+_suite_cases only generates cases, as run_suite asks for them.
 
 Relations:
     R1  pure n-qubit identity: C_n-ME equals the negativity quadratic mean
@@ -74,7 +76,7 @@ from .invariants import (
 )
 from .measures import (
     _pair_tangle,
-    kme_concurrence_pure,
+    kme_concurrence_stack,
     quadratic_mean,
     three_tangle,
     transposed_profile,
@@ -102,6 +104,8 @@ SUITE_MAX_SITES = 8
 # most cases one suite count (samples, t_points, random_t, random_points),
 # R7 family grid or `qent verify --grid` axis may ask for
 SUITE_MAX_COUNT = 10_000
+# most consecutive cases of one relation run_suite gives one checker call
+SUITE_GROUP_CASES = 64
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
@@ -228,10 +232,11 @@ def _row(relation: RelationId, desc: str, lhs: float, rhs: float, tol: float,
     )
 
 
-def _expect_pure(payload, n: Optional[int]):
-    sites = _pure(payload).num_sites
-    if n is not None and sites != n:
-        raise IncompatibleInput(f"expected {n} sites, got {sites}")
+def _expect_pure(payloads: list, n: Optional[int]):
+    for payload in payloads:
+        sites = _pure(payload).num_sites
+        if n is not None and sites != n:
+            raise IncompatibleInput(f"expected {n} sites, got {sites}")
 
 
 def _num_sites(what: str, n) -> int:
@@ -257,28 +262,51 @@ def _ghz_noise_args(payload) -> tuple[int, float]:
     return _num_sites("R3 n", payload[0]), tvis
 
 
-# A checker is a plain function (payload, tol, tangle_tol) -> rows, with
-# both tolerances already resolved by _run_case.  It validates its own
-# payload (IncompatibleInput on a mismatch) and returns bare rows
-# (label, lhs, rhs, tolerance, options): the label is appended to the
-# case's descriptor, and options are _row's keywords.
+# A checker is a plain function (payloads, tol, tangle_tol) -> one list
+# of rows per payload, with both tolerances already resolved by
+# _run_group.  It validates its own payloads (IncompatibleInput on a
+# mismatch) and returns bare rows (label, lhs, rhs, tolerance, options):
+# the label is appended to the case's descriptor, and options are _row's
+# keywords.
 
 
-def _check_r1(psi: PureState, tol: float, tangle_tol: float):
-    _expect_pure(psi, None)
-    lhs = kme_concurrence_pure(psi, psi.num_sites).value
-    return [("", lhs, quadratic_mean(transposed_profile(psi).per_site), tol, {})]
+def _per_payload(checker: Callable) -> Callable:
+    """A checker of payload lists from one that takes a single payload."""
+    return lambda payloads, tol, tangle_tol: [checker(p, tol, tangle_tol) for p in payloads]
 
 
-def _check_r2(ens: Ensemble, tol: float, tangle_tol: float):
-    if not isinstance(ens, Ensemble):
+def _kme_values(states: list, ks: list) -> list[tuple[float, ...]]:
+    """C_k-ME of states[i] for each k of ks[i], from one
+    kme_concurrence_stack call per k."""
+    values: list[dict] = [{} for _ in states]
+    for k in sorted({k for wanted in ks for k in wanted}):
+        at = [i for i, wanted in enumerate(ks) if k in wanted]
+        for i, rep in zip(at, kme_concurrence_stack([states[i] for i in at], k)):
+            values[i][k] = rep.value
+    return [tuple(v[k] for k in wanted) for v, wanted in zip(values, ks)]
+
+
+def _check_r1(payloads: list, tol: float, tangle_tol: float):
+    _expect_pure(payloads, None)
+    kme = _kme_values(payloads, [(psi.num_sites,) for psi in payloads])
+    return [
+        [("", lhs, quadratic_mean(transposed_profile(psi).per_site), tol, {})]
+        for psi, (lhs,) in zip(payloads, kme)
+    ]
+
+
+def _check_r2(payloads: list, tol: float, tangle_tol: float):
+    if not all(isinstance(ens, Ensemble) for ens in payloads):
         raise IncompatibleInput("R2 expects an Ensemble")
-    n = ens.num_sites
-    lhs = sum(
-        p * kme_concurrence_pure(psi, n).value for p, psi in zip(ens.weights, ens.states)
-    )
-    rhs = quadratic_mean(transposed_profile(ens.density()).per_site)
-    return [("", lhs, rhs, tol, {"inequality": True})]
+    states = [psi for ens in payloads for psi in ens.states]
+    kme = iter(_kme_values(states, [(ens.num_sites,) for ens in payloads for _ in ens.states]))
+    out = []
+    for ens in payloads:
+        # zip stops at the last weight, so each ensemble takes its own states' values
+        lhs = sum(p * value for p, (value,) in zip(ens.weights, kme))
+        rhs = quadratic_mean(transposed_profile(ens.density()).per_site)
+        out.append([("", lhs, rhs, tol, {"inequality": True})])
+    return out
 
 
 def _check_r3(payload: tuple[int, float], tol: float, tangle_tol: float):
@@ -289,67 +317,76 @@ def _check_r3(payload: tuple[int, float], tol: float, tangle_tol: float):
     return rows + [(f"negativity site {p}", pred, prof[p], tol, {}) for p in range(n)]
 
 
-def _check_r4(psi: PureState, tol: float, tangle_tol: float):
-    _expect_pure(psi, 3)
-    prof = transposed_profile(psi).per_site
+def _check_r4(payloads: list, tol: float, tangle_tol: float):
+    _expect_pure(payloads, 3)
+    out = []
+    for psi, (c2, c3) in zip(payloads, _kme_values(payloads, [(2, 3)] * len(payloads))):
+        prof = transposed_profile(psi).per_site
+        out.append([
+            ("C2 = min N", c2, min(prof), tol, {}),
+            ("C3 = rms N", c3, quadratic_mean(prof), tol, {}),
+        ])
+    return out
+
+
+def _check_r5(payloads: list, tol: float, tangle_tol: float):
+    _expect_pure(payloads, 3)
+    out = []
+    for psi, (c2d, c3d) in zip(payloads, _kme_values(payloads, [(2, 3)] * len(payloads))):
+        inv = invariants3(psi)
+        c2i, c3i = kme_from_invariants3(inv)
+        tau3 = three_tangle(psi)
+        pred = tangles_from_invariants3(inv, tau3)
+        rows = [("C2 via invariants", c2i, c2d, tol, {}), ("C3 via invariants", c3i, c3d, tol, {})]
+        direct_tangles = []
+        for pair, name, lhs in zip(((0, 1), (0, 2), (1, 2)), ("AB", "AC", "BC"), pred):
+            direct_tangles.append(_pair_tangle(psi, pair))
+            rows.append((f"tau_{name} via invariants", lhs, direct_tangles[-1], tangle_tol, {}))
+        c3_tangle = clamped_sqrt(2.0 / 3.0 * sum(direct_tangles) + tau3)
+        out.append(rows + [("C3 via tangles", c3_tangle, c3d, tangle_tol, {})])
+    return out
+
+
+def _check_r6(payloads: list, tol: float, tangle_tol: float):
+    _expect_pure(payloads, 4)
+    kme = _kme_values(payloads, [(2, 3, 4)] * len(payloads))
     return [
-        ("C2 = min N", kme_concurrence_pure(psi, 2).value, min(prof), tol, {}),
-        ("C3 = rms N", kme_concurrence_pure(psi, 3).value, quadratic_mean(prof), tol, {}),
+        [
+            (f"C{k} via invariants", inv_val, direct, tol, {})
+            for k, inv_val, direct in zip((2, 3, 4), kme_from_invariants4(invariants4(psi)), values)
+        ]
+        for psi, values in zip(payloads, kme)
     ]
 
 
-def _check_r5(psi: PureState, tol: float, tangle_tol: float):
-    _expect_pure(psi, 3)
-    inv = invariants3(psi)
-    c2i, c3i = kme_from_invariants3(inv)
-    c2d = kme_concurrence_pure(psi, 2).value
-    c3d = kme_concurrence_pure(psi, 3).value
-    tau3 = three_tangle(psi)
-    pred = tangles_from_invariants3(inv, tau3)
-    rows = [("C2 via invariants", c2i, c2d, tol, {}), ("C3 via invariants", c3i, c3d, tol, {})]
-    direct_tangles = []
-    for pair, name, lhs in zip(((0, 1), (0, 2), (1, 2)), ("AB", "AC", "BC"), pred):
-        direct_tangles.append(_pair_tangle(psi, pair))
-        rows.append((f"tau_{name} via invariants", lhs, direct_tangles[-1], tangle_tol, {}))
-    c3_tangle = clamped_sqrt(2.0 / 3.0 * sum(direct_tangles) + tau3)
-    return rows + [("C3 via tangles", c3_tangle, c3d, tangle_tol, {})]
-
-
-def _check_r6(psi: PureState, tol: float, tangle_tol: float):
-    _expect_pure(psi, 4)
-    c2i, c3i, c4i = kme_from_invariants4(invariants4(psi))
-    return [
-        (f"C{k} via invariants", inv_val, kme_concurrence_pure(psi, k).value, tol, {})
-        for k, inv_val in ((2, c2i), (3, c3i), (4, c4i))
-    ]
-
-
-def _check_r7(params: FamilyParams, tol: float, tangle_tol: float):
-    if not isinstance(params, FamilyParams):
+def _check_r7(payloads: list, tol: float, tangle_tol: float):
+    if not all(isinstance(params, FamilyParams) for params in payloads):
         raise IncompatibleInput("R7 expects FamilyParams")
-    psi = slocc_family(params)
-    pred = family_closed_forms(params)
-    direct_neg = transposed_profile(psi).per_site
-    direct_kme = {k: kme_concurrence_pure(psi, k).value for k in (2, 3, 4)}
-    rows = [
-        (f"C{k} closed form", closed, direct_kme[k], tol, {})
-        for k, closed in ((2, pred.c2), (3, pred.c3), (4, pred.c4))
-    ]
-    rows += [
-        (f"N site {p} closed form", pred.negativities[p], direct_neg[p], tol, {})
-        for p in range(4)
-    ]
-    c2_direct, min_n = direct_kme[2], min(direct_neg)
-    skip = pred.c2_min_negativity == "fails"
-    if skip:
-        note = f"condition violated (margin={pred.condition_margin:.6g}); equality not predicted"
-        if abs(c2_direct - min_n) <= tol:
-            note += "; equality holds anyway"
-    elif pred.c2_min_negativity == "holds":
-        note = "unconditional"
-    else:
-        note = f"condition satisfied (margin={pred.condition_margin:.6g})"
-    return rows + [("C2 = min N", c2_direct, min_n, tol, {"note": note, "skip": skip})]
+    states = [slocc_family(params) for params in payloads]
+    out = []
+    for params, psi, kme in zip(payloads, states, _kme_values(states, [(2, 3, 4)] * len(states))):
+        pred = family_closed_forms(params)
+        direct_neg = transposed_profile(psi).per_site
+        rows = [
+            (f"C{k} closed form", closed, direct, tol, {})
+            for k, closed, direct in zip((2, 3, 4), (pred.c2, pred.c3, pred.c4), kme)
+        ]
+        rows += [
+            (f"N site {p} closed form", pred.negativities[p], direct_neg[p], tol, {})
+            for p in range(4)
+        ]
+        c2_direct, min_n = kme[0], min(direct_neg)
+        skip = pred.c2_min_negativity == "fails"
+        if skip:
+            note = f"condition violated (margin={pred.condition_margin:.6g}); equality not predicted"
+            if abs(c2_direct - min_n) <= tol:
+                note += "; equality holds anyway"
+        elif pred.c2_min_negativity == "holds":
+            note = "unconditional"
+        else:
+            note = f"condition satisfied (margin={pred.condition_margin:.6g})"
+        out.append(rows + [("C2 = min N", c2_direct, min_n, tol, {"note": note, "skip": skip})])
+    return out
 
 
 def _check_r8(payload, tol: float, tangle_tol: float):
@@ -358,11 +395,9 @@ def _check_r8(payload, tol: float, tangle_tol: float):
     kind, arg = payload
     if kind == "w_kme":
         n = _num_sites("R8 n", arg)
-        psi = w(n)
-        return [
-            (f"k={k}", w_kme_closed_form(n, k), kme_concurrence_pure(psi, k).value, tol, {})
-            for k in range(2, n + 1)
-        ]
+        ks = tuple(range(2, n + 1))
+        (kme,) = _kme_values([w(n)], [ks])
+        return [(f"k={k}", w_kme_closed_form(n, k), value, tol, {}) for k, value in zip(ks, kme)]
     if kind != "w_two_tangle":
         raise IncompatibleInput(f"unknown R8 payload kind {brief(kind)}")
     try:
@@ -408,16 +443,16 @@ class _Relation(NamedTuple):
 _RELATIONS: dict[str, _Relation] = {
     "R1": _Relation(_check_r1, TOL_EQUALITY, {"sizes": [2, 3, 4, 5], "samples": 15}),
     "R2": _Relation(_check_r2, TOL_EQUALITY, {"sizes": [2, 3], "ranks": [2, 3], "samples": 8}),
-    "R3": _Relation(_check_r3, TOL_EQUALITY,
+    "R3": _Relation(_per_payload(_check_r3), TOL_EQUALITY,
                     {"sizes": [2, 3, 4, 5], "t_points": 21, "random_t": 5}),
     "R4": _Relation(_check_r4, TOL_EQUALITY, {"samples": 60}),
     "R5": _Relation(_check_r5, TOL_EQUALITY, {"samples": 60, "tangle_tolerance": None}),
     "R6": _Relation(_check_r6, TOL_EQUALITY, {"samples": 60}),
     "R7": _Relation(_check_r7, TOL_FAMILY,
                     {"families": [1, 2, 3, 4, 5, 6, 7, 8, 9], "random_points": 4, "grids": None}),
-    "R8": _Relation(_check_r8, TOL_EQUALITY,
+    "R8": _Relation(_per_payload(_check_r8), TOL_EQUALITY,
                     {"sizes": [3, 4, 5, 6], "samples": 8, "tangle_tolerance": None}),
-    "R9": _Relation(_check_r9, TOL_EQUALITY,
+    "R9": _Relation(_per_payload(_check_r9), TOL_EQUALITY,
                     {"samples": 25, "cuts": [[1, 1], [1, 2], [2, 2], [1, 3]]}),
 }
 
@@ -425,23 +460,29 @@ _RELATIONS: dict[str, _Relation] = {
 RelationId = Enum("RelationId", [(name, name) for name in _RELATIONS], type=str)
 
 
-def _run_case(case) -> list[RelationCheckResult]:
-    """Run one (relation, payload, descriptor, tol, tangle_tol) case and
-    label its checker's bare rows with the relation and the descriptor.
+def _run_case(case, rows) -> list[RelationCheckResult]:
+    """Label one case's bare rows with its relation and descriptor."""
+    rel, _, desc, _, _ = case
+    return [
+        _row(rel, f"{desc} | {label}" if label else desc, lhs, rhs, row_tol, **options)
+        for label, lhs, rhs, row_tol, options in rows
+    ]
+
+
+def _run_group(cases: list) -> list[RelationCheckResult]:
+    """Run (relation, payload, descriptor, tol, tangle_tol) cases of one
+    relation and one pair of tolerances through one checker call.
 
     Tangle rows (R5 two-tangles and C3 via tangles, R8 pair tangles) use
     tangle_tol if given, else tol, else TOL_TANGLE.  Every other row uses
     tol if given, else the relation's default.
     """
-    rel, payload, desc, tol, tangle_tol = case
+    rel, _, _, tol, tangle_tol = cases[0]
     checker, default_tol, _ = _RELATIONS[rel]
     if tangle_tol is None:
         tangle_tol = TOL_TANGLE if tol is None else tol
-    rows = checker(payload, default_tol if tol is None else tol, tangle_tol)
-    return [
-        _row(rel, f"{desc} | {label}" if label else desc, lhs, rhs, row_tol, **options)
-        for label, lhs, rhs, row_tol, options in rows
-    ]
+    per_case = checker([case[1] for case in cases], default_tol if tol is None else tol, tangle_tol)
+    return [row for case, rows in zip(cases, per_case) for row in _run_case(case, rows)]
 
 
 def check(
@@ -459,7 +500,7 @@ def check(
         raise IncompatibleInput(f"unknown relation {brief(relation)}") from exc
     if tol is not None and not isinstance(tol, numbers.Real):
         raise IncompatibleInput(f"tol must be a number, got {brief(tol)}")
-    return _run_case((rel, payload, _describe_payload(rel, payload), tol, None))
+    return _run_group([(rel, payload, _describe_payload(rel, payload), tol, None)])
 
 
 def _describe_payload(rel: RelationId, payload) -> str:
@@ -787,9 +828,14 @@ class SuiteReport:
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Run every configured relation check and aggregate a sorted report.
 
-    Results are sorted by (relation, state descriptor), so reports are
-    byte-identical for identical configs.
+    Each checker call takes at most SUITE_GROUP_CASES consecutive cases of
+    one relation, generated only when asked for.  Results are sorted by
+    (relation, state descriptor), so reports are byte-identical for
+    identical configs.
     """
-    results = [r for case in _suite_cases(config) for r in _run_case(case)]
+    results = []
+    for _, cases in itertools.groupby(_suite_cases(config), key=lambda case: case[0]):
+        while group := list(itertools.islice(cases, SUITE_GROUP_CASES)):
+            results += _run_group(group)
     results.sort(key=lambda r: (r.relation.value, r.state_descriptor))
     return SuiteReport(tuple(results))

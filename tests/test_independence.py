@@ -22,7 +22,7 @@ from qent.families import FamilyParams
 SCALE = 1.0 + 1e-6
 MOVED = 1e-8
 
-_KME = "kme_concurrence_pure"
+_KME = "kme_concurrence_stack"
 _NEG = "transposed_profile"
 _NME = {_NEG, "quadratic_mean"}
 # (relation, row label with digits as #) -> (lhs bindings, rhs bindings)

@@ -40,7 +40,8 @@ from qent import (
     w,
     wootters_concurrence,
 )
-from qent.measures import FACTORED_RANK_RATIO, transposed_profile
+from qent import IncompatibleInput, kme_concurrence_stack, random_pure
+from qent.measures import FACTORED_RANK_RATIO, SVD_AMPLITUDES, transposed_profile
 from qent.qstate import clamped_sqrt, density_factor
 
 BELL = make_pure([1, 0, 0, 1], 2)
@@ -279,6 +280,72 @@ class TestKmeMatchesScan:
                 for k in range(n, 1, -1):
                     rep = kme_concurrence_pure(psi, k)
                     assert (rep.value, rep.optimal_partition.blocks) == kme_scan(psi, k)
+
+
+def _stack_states(rng):
+    """GHZ, W and Dicke states, family grid points and random states of
+    n = 2..8, in no order of size."""
+    states = [ghz(n) for n in range(3, 7)] + [w(n) for n in range(3, 7)]
+    states += [_dicke(n, e) for n in (4, 6, 7) for e in range(n // 2 + 1)]
+    for family in sorted(FAMILY_LABELS):
+        states += [slocc_family(p) for p in default_parameter_grid(family)[:2]]
+    states += [PureState(random_state_vector(n, rng), n) for n in range(2, 9) for _ in range(2)]
+    order = rng.permutation(len(states))
+    return [PureState(states[i].amplitudes, states[i].num_sites) for i in order]
+
+
+def _alone(psi, k):
+    """(value, blocks) of psi on a fresh copy of it, with a cold table."""
+    rep = kme_concurrence_pure(PureState(psi.amplitudes, psi.num_sites), k)
+    return rep.value, rep.optimal_partition.blocks
+
+
+def _stacked(states, k):
+    return [(r.value, r.optimal_partition.blocks) for r in kme_concurrence_stack(states, k)]
+
+
+class TestKmeStack:
+    """A stack gives, bit for bit (==), each state's value and partition alone."""
+
+    @pytest.mark.parametrize("ks", [range(2, 9), range(8, 1, -1)], ids=["ascending", "descending"])
+    def test_mixed_sizes_any_k_order(self, rng, ks):
+        # ascending k fills every table at once; descending grows them one size at a time
+        states = _stack_states(rng)
+        for k in ks:
+            stack = [psi for psi in states if psi.num_sites >= k]
+            assert _stacked(stack, k) == [_alone(psi, k) for psi in stack], k
+
+    def test_partly_warm_tables(self, rng):
+        states = _stack_states(rng)
+        for psi in states[::2]:
+            kme_concurrence_pure(psi, psi.num_sites)  # one-site blocks only
+        for psi in states[1::3]:
+            kme_concurrence_pure(psi, 2)  # every block
+        for k in (3, 2):
+            stack = [psi for psi in states if psi.num_sites >= k] + states[:3]
+            assert _stacked(stack, k) == [_alone(psi, k) for psi in stack], k
+        assert _stacked(states, 2) == [_alone(psi, 2) for psi in states]  # all warm
+
+    def test_one_svd_call_per_block_size(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.size) or svd(a, **kw))
+        states = [random_pure(3, seed) for seed in range(40)]
+        kme_concurrence_stack(states, 2)
+        assert len(calls) == 2  # blocks of one and of two sites
+        calls.clear()
+        kme_concurrence_stack([random_pure(8, seed) for seed in range(64)], 2)
+        assert max(calls) <= SVD_AMPLITUDES
+
+    def test_refusals(self):
+        psi = random_pure(3, 1)
+        assert kme_concurrence_stack([], 2) == ()
+        with pytest.raises(OutOfRange):
+            kme_concurrence_stack([psi, BELL], 3)
+        with pytest.raises(IncompatibleInput):
+            kme_concurrence_stack([psi, density_of(psi)], 2)
+        with pytest.raises(IncompatibleInput):
+            kme_concurrence_stack(psi, 2)
 
 
 class TestNmeLowerBound:

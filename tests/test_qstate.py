@@ -26,6 +26,8 @@ from qent import (
     state_to_json,
     w,
 )
+from qent import IncompatibleInput, negativity
+from qent.qstate import density_factor, schmidt_weights, sites_tuple
 
 BELL = make_pure([1, 0, 0, 1], 2)
 
@@ -313,3 +315,37 @@ class TestMakePureScale:
     def test_any_finite_scale_normalizes(self, scale):
         psi = make_pure(np.array([1, 1j, 0, -1]) * scale, 2)
         assert np.allclose(psi.amplitudes, np.array([1, 1j, 0, -1]) / np.sqrt(3))
+
+
+class TestSiteIndices:
+    """A site is an int or a numpy integer: no float is truncated to one
+    and no bool counts as 0 or 1."""
+
+    def test_negativity_refuses_a_fractional_site(self):
+        with pytest.raises(IndexOutOfRange):
+            negativity(ghz(3), 1.7)
+
+    def test_partial_trace_refuses_a_fractional_site(self):
+        with pytest.raises(IndexOutOfRange):
+            partial_trace(ghz(3), [0.9])
+
+    def test_schmidt_weights_refuses_a_bool(self):
+        with pytest.raises(IndexOutOfRange):
+            schmidt_weights(ghz(3), [True])
+
+    @pytest.mark.parametrize("sites", [1.0, True, np.float64(1.0), [0, 1.0], "1", None])
+    def test_anything_but_integers_refused(self, sites):
+        with pytest.raises(IndexOutOfRange):
+            sites_tuple(sites, 3)
+
+    @pytest.mark.parametrize("sites,want", [
+        (1, (1,)), (np.int64(2), (2,)), ([2, np.int32(0)], (0, 2)), (range(3), (0, 1, 2)),
+        (np.array([1, 0]), (0, 1)),
+    ])
+    def test_integers_accepted(self, sites, want):
+        assert sites_tuple(sites, 3) == want
+
+
+def test_density_factor_refuses_a_non_state():
+    with pytest.raises(IncompatibleInput):
+        density_factor(None, 1)

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -33,6 +35,10 @@ from qent import (
 from qent import verify
 from qent.measures import FACTORED_RANK_RATIO, transposed_profile
 from qent.qstate import density_factor
+
+# sha256 of run_suite(SuiteConfig.default(7)).to_csv(), the bytes of
+# `qent verify --default --seed 7 --csv`
+SEED7_CSV_SHA256 = "eea08817e999a079483d1c96d114121b41d222835e9c3da57e0d59c68b4113b3"
 
 REFERENCE_CSV = (
     Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "suite_seed7.csv"
@@ -340,6 +346,40 @@ class TestBehaviourReference:
             )
             assert abs(row.lhs - float(ref["lhs"])) <= 1e-12, row.state_descriptor
             assert abs(row.rhs - float(ref["rhs"])) <= 1e-12, row.state_descriptor
+
+
+    def test_default_suite_report_bytes(self):
+        csv_text = run_suite(SuiteConfig.default(7)).to_csv()
+        assert hashlib.sha256(csv_text.encode()).hexdigest() == SEED7_CSV_SHA256
+
+
+class TestSuiteGroups:
+    def test_grouped_rows_equal_single_case_checks(self):
+        """run_suite gives checkers up to SUITE_GROUP_CASES cases at once;
+        its rows equal those of check() on each case alone, relabelled
+        with the suite's descriptors.  R1's 197 cases cross group
+        boundaries, and its sizes are out of order."""
+        config = SuiteConfig(seed=3, relations={
+            "R1": {"sizes": [2, 5, 3], "samples": 65},
+            "R2": {"sizes": [2, 3], "ranks": [1, 4], "samples": 2},
+            "R3": {"sizes": [2, 3], "t_points": 2, "random_t": 1},
+            "R4": {"samples": 3},
+            "R5": {"samples": 3},
+            "R6": {"samples": 3},
+            "R7": {"families": [2, 6], "random_points": 1,
+                   "grids": {"6": [[0.5, [0.0, 1.0]]], "2": [[0.3], [0.8, 1.1], [0.2]]}},
+            "R8": {"sizes": [3, 7], "samples": 4},
+            "R9": {"samples": 2},
+        })
+        assert sum(1 for case in verify._suite_cases(config) if case[0] == "R1") > 2 * 64
+        alone = []
+        for rel, payload, desc, tol, _ in verify._suite_cases(config):
+            prefix = verify._describe_payload(rel, payload)
+            for row in check(rel, payload, tol):
+                label = row.state_descriptor[len(prefix):]
+                alone.append(dataclasses.replace(row, state_descriptor=desc + label))
+        alone.sort(key=lambda r: (r.relation.value, r.state_descriptor))
+        assert run_suite(config).results == tuple(alone)
 
 
 class TestEnsembleType:
