@@ -1,5 +1,9 @@
-"""Exception classes shared across the package, and brief() for their messages."""
+"""Exception classes shared across the package, brief() for their
+messages, and _integer(), the one check of every integer argument (a
+site, k, qubit count, rank, count, family id or seed)."""
 import re
+
+import numpy as np
 
 
 def brief(value) -> str:
@@ -52,3 +56,17 @@ class ConfigError(QentError):
 
 class InputError(QentError):
     """Malformed or out-of-tolerance external input (state files, CLI values)."""
+
+
+def _integer(value, what: str, lo=None, hi=None, error: type = OutOfRange) -> int:
+    """value as a Python int if it is an int or numpy integer, not a bool,
+    in [lo, hi] (a bound of None is open); otherwise `error` naming `what`."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)
+        if (lo is None or lo <= value) and (hi is None or value <= hi):
+            return value
+    if lo is None:
+        span = "" if hi is None else f" <= {hi}"
+    else:
+        span = f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise error(f"{what} must be an integer{span}, got {brief(value)}")

@@ -13,12 +13,13 @@ G_abcd in its denominator (the printed denominator belongs to family
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OutOfDomain, OutOfRange, ZeroVector, brief
+from .errors import OutOfDomain, OutOfRange, ZeroVector, _integer, brief
 from .qstate import DensityMatrix, PureState, _trusted_density, clamped_sqrt, make_pure
 
 FAMILY_LABELS = {
@@ -48,13 +49,16 @@ class FamilyParams:
     d: complex = 0j
 
     def __post_init__(self):
-        if self.family_id not in FAMILY_LABELS:
-            raise OutOfRange(f"family_id must be 1..9, got {brief(self.family_id)}")
+        object.__setattr__(self, "family_id", _integer(self.family_id, "family_id", 1, 9))
         for name in ("a", "b", "c", "d"):
-            value = complex(getattr(self, name))
-            if not cmath.isfinite(value):
-                raise OutOfRange(f"family parameter {name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            value = getattr(self, name)
+            try:
+                finite = isinstance(value, numbers.Number) and cmath.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise OutOfRange(f"parameter {name} must be a finite number, got {brief(value)}")
+            object.__setattr__(self, name, complex(value))
 
     @property
     def label(self) -> str:
@@ -101,8 +105,7 @@ class ClosedFormPrediction:
 
 def ghz(n: int) -> PureState:
     """(|0...0> + |1...1>) / sqrt(2) on n qubits."""
-    if n < 2:
-        raise OutOfRange(f"GHZ needs n >= 2, got {n}")
+    n = _integer(n, "GHZ n", 2)
     v = np.zeros(2**n, dtype=complex)
     v[0] = v[-1] = 1.0
     return make_pure(v, n)
@@ -129,16 +132,14 @@ def w_class(coeffs: Sequence[complex]) -> PureState:
 
 def w(n: int) -> PureState:
     """Uniform W state on n qubits."""
-    if n < 2:
-        raise OutOfRange(f"W needs n >= 2, got {n}")
+    n = _integer(n, "W n", 2)
     return w_class(np.ones(n) / np.sqrt(n))
 
 
 def ghz_noise(n: int, t: float) -> DensityMatrix:
     """GHZ state mixed with white noise:
     (1 - t)/2^n * identity + t |GHZ_n><GHZ_n|."""
-    if n < 2:
-        raise OutOfRange(f"ghz_noise needs n >= 2, got {n}")
+    n = _integer(n, "ghz_noise n", 2)
     if not 0.0 <= t <= 1.0:
         raise OutOfRange(f"noise parameter t={t} outside [0, 1]")
     g = ghz(n).amplitudes
@@ -148,15 +149,14 @@ def ghz_noise(n: int, t: float) -> DensityMatrix:
 
 def ghz_noise_threshold(n: int) -> float:
     """Visibility below which the GHZ + white-noise mixture is fully separable."""
-    return 1.0 / (2 ** (n - 1) + 1)
+    return 1.0 / (2 ** (_integer(n, "ghz_noise n", 2) - 1) + 1)
 
 
 def ghz_noise_negativity(n: int, t: float) -> float:
     """Per-site negativity of the GHZ + white-noise mixture,
     ((2^(n-1) + 1) t - 1) / 2^(n-1), clamped at 0 below the separability
     threshold."""
-    if n < 2:
-        raise OutOfRange(f"ghz_noise_negativity needs n >= 2, got {n}")
+    n = _integer(n, "ghz_noise n", 2)
     if not 0.0 <= t <= 1.0:
         raise OutOfRange(f"noise parameter t={t} outside [0, 1]")
     half = 2 ** (n - 1)
@@ -167,8 +167,7 @@ def ghz_noise_nme_exact(n: int, t: float) -> float:
     """Exact n-ME concurrence of the GHZ + white-noise mixture,
     ((2^(n-1) + 1) t - 1) / 2^(n-1), valid for t between the
     separability threshold and 1."""
-    if n < 2:
-        raise OutOfRange(f"ghz_noise_nme_exact needs n >= 2, got {n}")
+    n = _integer(n, "ghz_noise n", 2)
     lo = ghz_noise_threshold(n)
     if t < lo - 1e-12 or t > 1.0 + 1e-12:
         raise OutOfDomain(f"t={t} outside the exactness interval [{lo}, 1]")
@@ -441,8 +440,8 @@ def w_two_tangle(coeffs: Sequence[complex], i: int, j: int) -> float:
     4 |a_{n+1-i}|^2 |a_{n+1-j}|^2 with normalized coefficients."""
     coeffs = np.asarray(coeffs, dtype=complex).ravel()
     n = coeffs.size
-    if not 1 <= i < j <= n:
-        raise OutOfRange(f"need 1 <= i < j <= {n}, got i={i}, j={j}")
+    i = _integer(i, "i", 1, n - 1)
+    j = _integer(j, "j", i + 1, n)
     norm = float(np.linalg.norm(coeffs))
     if norm < 1e-12:
         raise ZeroVector("W-class coefficients have (near-)zero norm")
@@ -453,10 +452,8 @@ def w_two_tangle(coeffs: Sequence[complex], i: int, j: int) -> float:
 def w_kme_closed_form(n: int, k: int) -> float:
     """k-ME concurrence of the uniform W state:
     sqrt(2/k * ((k-1) n - k (k-1)/2) * tau) with pair tangle tau = 4/n^2."""
-    if n < 3:
-        raise OutOfRange(f"closed form needs n >= 3, got {n}")
-    if not 2 <= k <= n:
-        raise OutOfRange(f"need 2 <= k <= n, got k={k}, n={n}")
+    n = _integer(n, "W n", 3)
+    k = _integer(k, "k", 2, n)
     tau = 4.0 / n**2
     return float(np.sqrt(2.0 / k * ((k - 1) * n - k * (k - 1) / 2.0) * tau))
 

@@ -40,7 +40,8 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, IncompatibleInput, IndexOutOfRange, OutOfRange, brief
+from .errors import DimensionMismatch, IncompatibleInput, IndexOutOfRange, OutOfRange
+from .errors import _integer, brief
 from .partitions import MAX_SITES, Partition
 from .qstate import (
     DensityMatrix,
@@ -382,8 +383,7 @@ def kme_concurrence_stack(states, k: int) -> tuple[MeasureReport, ...]:
     by_size: dict[int, list[int]] = {}
     for i, psi in enumerate(states):
         n = psi.num_sites
-        if not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
-            raise OutOfRange(f"need 2 <= k <= num_sites, got k={brief(k)}, n={n}")
+        k = _integer(k, "k", 2, n)
         if n > MAX_SITES:
             raise OutOfRange(f"n={n} exceeds the k-ME cap of {MAX_SITES} sites")
         by_size.setdefault(n, []).append(i)
@@ -430,9 +430,7 @@ def nme_lower_bound(state: Union[PureState, DensityMatrix]) -> float:
 
 def one_tangle(psi: PureState, site: int) -> float:
     """4 det(rho_site): squared concurrence of one site against the rest."""
-    n = psi.num_sites
-    if not isinstance(site, (int, np.integer)) or not 0 <= site < n:
-        raise IndexOutOfRange(f"site {brief(site)} outside [0, {n})")
+    site = _integer(site, "site", 0, _pure(psi).num_sites - 1, IndexOutOfRange)
     red = reduced_density_pure(psi, site)
     return float(np.real(np.linalg.det(red)) * 4.0)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import OutOfRange
+from .errors import IndexOutOfRange, _integer
 
 # largest n that k_partitions enumerates and kme_concurrence_pure accepts
 MAX_SITES = 14
@@ -24,7 +24,9 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(s) for s in b) for b in self.blocks)
+        blocks = tuple(
+            tuple(_integer(s, "site", 0, error=IndexOutOfRange) for s in b) for b in self.blocks
+        )
         object.__setattr__(self, "blocks", blocks)
         seen: set[int] = set()
         for b in blocks:
@@ -87,10 +89,5 @@ def k_partitions(n: int, k: int) -> list[Partition]:
     Returns S(n, k) partitions (Stirling numbers of the second kind) in
     lexicographic order of their restricted-growth strings.
     """
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise OutOfRange("n and k must be integers")
-    if not 1 <= k <= n:
-        raise OutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n > MAX_SITES:
-        raise OutOfRange(f"n={n} exceeds the enumeration cap {MAX_SITES}")
-    return list(_iter_rgs(n, k))
+    n = _integer(n, "n", 1, MAX_SITES)
+    return list(_iter_rgs(n, _integer(k, "k", 1, n)))

@@ -13,7 +13,10 @@ States are validated once, where they enter qent: the PureState and
 DensityMatrix constructors, and so state_from_json, check what they are
 given.  Density matrices that qent builds from states it already holds
 (density_of, partial_trace, families.ghz_noise, verify.Ensemble.density)
-come from _trusted_density and skip the checks.
+come from _trusted_density and skip the checks.  A site index and a
+constructor's num_sites pass errors._integer, as every integer argument
+in qent does: an int or numpy integer, never a bool or a float, kept as
+a Python int.
 
 Functions of a pure state take it through the private gate _pure, and
 functions of a density matrix through _density, which builds
@@ -47,6 +50,7 @@ from .errors import (
     NotHermitian,
     NotUnitary,
     ZeroVector,
+    _integer,
     brief,
 )
 
@@ -66,36 +70,29 @@ def clamped_sqrt(x: float) -> float:
     return float(np.sqrt(x))
 
 
-def _is_site(value) -> bool:
-    """True for an int or numpy integer that is not a bool; never a float."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def sites_tuple(sites: Union[int, Iterable[int]], num_sites: int) -> tuple[int, ...]:
-    """Canonicalize a subsystem set to a sorted tuple of distinct site
-    indices; IndexOutOfRange for anything but _is_site values."""
+    """Canonicalize a site index or a subsystem set to a sorted tuple of
+    distinct site indices in [0, num_sites); IndexOutOfRange otherwise."""
     try:
-        items = (sites,) if _is_site(sites) else tuple(sites)
-    except TypeError as exc:
-        raise IndexOutOfRange(f"subsystem set {brief(sites)} is not site indices") from exc
-    if not all(_is_site(s) for s in items):
-        raise IndexOutOfRange(f"subsystem set {brief(sites)} is not site indices")
-    out = tuple(sorted(int(s) for s in items))
+        items = tuple(sites)
+    except TypeError:  # a single site, or no sites at all
+        items = (sites,)
+    out = tuple(sorted(_integer(s, "site", 0, num_sites - 1, IndexOutOfRange) for s in items))
     if not out:
         raise IndexOutOfRange("subsystem set must be non-empty")
     if len(set(out)) != len(out):
         raise IndexOutOfRange(f"duplicate site indices in {out}")
-    if out[0] < 0 or out[-1] >= num_sites:
-        raise IndexOutOfRange(f"sites {out} outside [0, {num_sites})")
     return out
 
 
-def _check_qubit_shape(what: str, shape: tuple, ndim: int, n: int) -> None:
-    """DimensionMismatch unless shape is ndim axes of 2**n each, n >= 1.
-    2**n is never formed for an n that no axis could match, and the
-    message cuts a huge n short."""
-    if n < 1 or len(shape) != ndim or any(d.bit_length() != n + 1 or d != 2**n for d in shape):
+def _check_qubit_shape(what: str, shape: tuple, ndim: int, n) -> int:
+    """n as an int; DimensionMismatch unless n is an integer >= 1 and
+    shape is ndim axes of 2**n each.  2**n is never formed for an n that
+    no axis could match, and the message cuts a huge n short."""
+    n = _integer(n, "num_sites", 1, error=DimensionMismatch)
+    if len(shape) != ndim or any(d.bit_length() != n + 1 or d != 2**n for d in shape):
         raise DimensionMismatch(f"{what} of shape {shape} does not match {brief(n)} qubits")
+    return n
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -116,7 +113,8 @@ class PureState:
     def __post_init__(self):
         amps = _frozen_array(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
-        _check_qubit_shape("amplitude vector", amps.shape, 1, self.num_sites)
+        n = _check_qubit_shape("amplitude vector", amps.shape, 1, self.num_sites)
+        object.__setattr__(self, "num_sites", n)
         if not np.isfinite(amps).all():
             raise InputError("amplitudes contain non-finite values (NaN or Inf)")
         norm = float(np.linalg.norm(amps))
@@ -140,7 +138,8 @@ class DensityMatrix:
     def __post_init__(self):
         m = _frozen_array(self.entries)
         object.__setattr__(self, "entries", m)
-        _check_qubit_shape("matrix", m.shape, 2, self.num_sites)
+        n = _check_qubit_shape("matrix", m.shape, 2, self.num_sites)
+        object.__setattr__(self, "num_sites", n)
         if not np.isfinite(m).all():
             raise InputError("matrix contains non-finite values (NaN or Inf)")
         herm = float(np.max(np.abs(m - m.conj().T)))
@@ -369,8 +368,7 @@ def hermitian_eigenvalues(m: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
 def apply_local_unitary(psi: PureState, site: int, u: np.ndarray) -> PureState:
     """Apply a 2x2 unitary to one site of a pure state."""
     n = _pure(psi).num_sites
-    if not isinstance(site, (int, np.integer)) or not 0 <= site < n:
-        raise IndexOutOfRange(f"site {brief(site)} outside [0, {n})")
+    site = _integer(site, "site", 0, n - 1, IndexOutOfRange)
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise DimensionMismatch(f"local unitary must be 2x2, got {u.shape}")

@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleInput, InputError, OutOfRange, brief
+from .errors import ConfigError, IncompatibleInput, InputError, _integer, brief
 from .families import (
     FAMILY_LABELS,
     FAMILY_PARAM_COUNTS,
@@ -154,10 +154,18 @@ class Ensemble:
     states: tuple[PureState, ...]
 
     def __post_init__(self):
-        if len(self.weights) != len(self.states) or not self.states:
+        try:
+            matching = 0 < len(self.states) == len(self.weights)
+        except TypeError:  # weights or states that are not sequences
+            matching = False
+        if not matching:
             raise InputError("ensemble needs matching, non-empty weights and states")
-        if any(p < -1e-12 for p in self.weights):
-            raise InputError("ensemble weights must be non-negative")
+        sizes = {psi.num_sites if isinstance(psi, PureState) else None for psi in self.states}
+        if None in sizes or len(sizes) > 1:
+            raise InputError("ensemble states must be pure states of one qubit count")
+        # each weight in [0, 1] up to rounding, which refuses NaN and Inf too
+        if not all(isinstance(p, numbers.Real) and -1e-12 <= p <= 1 + 1e-9 for p in self.weights):
+            raise InputError(f"ensemble weights must be in [0, 1], got {brief(self.weights)}")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise InputError(f"ensemble weights sum to {sum(self.weights)}")
 
@@ -175,15 +183,12 @@ class Ensemble:
 
 def _rng(seed: int) -> np.random.Generator:
     """default_rng(seed); OutOfRange unless seed is a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise OutOfRange(f"seed must be a non-negative integer, got {brief(seed)}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_integer(seed, "seed", 0))
 
 
 def random_pure(n: int, seed: int) -> PureState:
     """Haar-like random pure state from a seeded complex-normal vector."""
-    if not 1 <= n <= SUITE_MAX_SITES:
-        raise OutOfRange(f"random_pure supports 1 <= n <= {SUITE_MAX_SITES}, got {brief(n)}")
+    n = _integer(n, "n", 1, SUITE_MAX_SITES)
     rng = _rng(seed)
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return PureState(v / np.linalg.norm(v), n)
@@ -192,10 +197,8 @@ def random_pure(n: int, seed: int) -> PureState:
 def random_ensemble(n: int, rank: int, seed: int) -> Ensemble:
     """Random convex mixture of `rank` random pure states with Dirichlet
     weights, fully reproducible from `seed`."""
-    if not 1 <= n <= SUITE_MAX_SITES:
-        raise OutOfRange(f"random_ensemble needs 1 <= n <= {SUITE_MAX_SITES}, got {brief(n)}")
-    if not 1 <= rank <= 2**n:
-        raise OutOfRange(f"rank must be in [1, 2^n], got {brief(rank)}")
+    n = _integer(n, "n", 1, SUITE_MAX_SITES)
+    rank = _integer(rank, "rank", 1, 2**n)
     rng = _rng(seed)
     states = []
     for _ in range(rank):
@@ -240,15 +243,9 @@ def _expect_pure(payloads: list, n: Optional[int]):
 
 
 def _num_sites(what: str, n) -> int:
-    """int(n), the qubit count of an R3 or R8 payload: IncompatibleInput if
-    that fails, OutOfRange above SUITE_MAX_SITES, before any state is built."""
-    try:
-        n = int(n)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise IncompatibleInput(f"{what} must be an integer, got {brief(n)}") from exc
-    if n > SUITE_MAX_SITES:
-        raise OutOfRange(f"{what} must be at most {SUITE_MAX_SITES}, got {brief(n)}")
-    return n
+    """The qubit count of an R3 or R8 payload: IncompatibleInput unless it
+    is an integer, OutOfRange above SUITE_MAX_SITES, before any state is built."""
+    return _integer(_integer(n, what, error=IncompatibleInput), what, hi=SUITE_MAX_SITES)
 
 
 def _ghz_noise_args(payload) -> tuple[int, float]:
@@ -419,8 +416,8 @@ def _check_r9(payload, tol: float, tangle_tol: float):
         raise IncompatibleInput("R9 payload must be (PureState, side_a)")
     psi, side = _pure(payload[0]), payload[1]
     try:
-        side = tuple(int(s) for s in side)
-    except (TypeError, ValueError, OverflowError) as exc:
+        side = tuple(_integer(s, "R9 site", 0, psi.num_sites - 1, IncompatibleInput) for s in side)
+    except TypeError as exc:
         raise IncompatibleInput("R9 side_a must be a list of site indices") from exc
     lam = schmidt_weights(psi, side)
     rank = int(np.sum(lam > 1e-10))
@@ -491,15 +488,15 @@ def check(
     """Evaluate one relation on one input; returns one row per sub-relation.
 
     Raises a QentError for an unknown relation, a payload that does not
-    fit it or a tol that is not a number, and OutOfRange for a state of
-    more than SUITE_MAX_SITES qubits.
+    fit it or a tol that is not a positive finite number, and OutOfRange
+    for a state of more than SUITE_MAX_SITES qubits.
     """
     try:
         rel = RelationId(relation)
     except ValueError as exc:
         raise IncompatibleInput(f"unknown relation {brief(relation)}") from exc
-    if tol is not None and not isinstance(tol, numbers.Real):
-        raise IncompatibleInput(f"tol must be a number, got {brief(tol)}")
+    if tol is not None and not _is_tolerance(tol):
+        raise IncompatibleInput(f"tol must be a positive finite number, got {brief(tol)}")
     return _run_group([(rel, payload, _describe_payload(rel, payload), tol, None)])
 
 
@@ -511,7 +508,7 @@ def _describe_payload(rel: RelationId, payload) -> str:
     if isinstance(payload, FamilyParams):
         return payload.describe()
     if isinstance(payload, tuple) and rel is RelationId.R3:
-        return f"ghz_noise n={payload[0]} t={_ghz_noise_args(payload)[1]:.6g}"
+        return "ghz_noise n={} t={:.6g}".format(*_ghz_noise_args(payload))
     return rel.value
 
 
@@ -519,50 +516,46 @@ def _describe_payload(rel: RelationId, payload) -> str:
 # suite configuration and execution
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_tolerance(value) -> bool:
+    """True for a positive finite real number that is not a bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and 0 < value <= sys.float_info.max
 
 
-def _check_spec_value(name: str, key: str, value) -> None:
-    """Raise ConfigError unless a relation spec value is what its key
-    needs (grids are checked by SuiteConfig, against the spec's families)."""
+def _spec_value(name: str, key: str, value):
+    """A relation spec value as its key needs it, with Python ints for its
+    integers; ConfigError otherwise.  Grids pass as given: SuiteConfig
+    checks them against the spec's families."""
+    what = f"relation {name} {key}"
     if key in ("samples", "t_points", "random_t", "random_points"):
-        ok = _is_int(value) and 0 <= value <= SUITE_MAX_COUNT
-        need = f"an integer in [0, {SUITE_MAX_COUNT}]"
-    elif key in ("sizes", "ranks", "families"):
-        ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
-        need = "a list of integers"
-        if key == "sizes":  # a size n builds 2^n-entry states or a 4^n density matrix
-            low = 3 if name == "R8" else 2  # W states start at 3 qubits, k-ME at 2
-            ok = ok and all(low <= v <= SUITE_MAX_SITES for v in value)
-            need = f"a list of integers in [{low}, {SUITE_MAX_SITES}]"
-        elif key == "ranks":  # SuiteConfig checks each against 2^n for every size n
-            ok = ok and all(v >= 1 for v in value)
-            need = "a list of integers >= 1"
-        elif key == "families":
-            ok = ok and all(v in FAMILY_LABELS for v in value)
-            need = f"a list of family ids from {sorted(FAMILY_LABELS)}"
-    elif key == "cuts":
-        ok = isinstance(value, (list, tuple)) and all(
-            isinstance(c, (list, tuple)) and len(c) == 2 and all(_is_int(v) and v >= 1 for v in c)
-            and sum(c) <= SUITE_MAX_SITES  # a cut builds a 4^(na + nb) projector
-            for c in value
-        )
-        need = f"a list of [na, nb] pairs with na, nb >= 1 and na + nb <= {SUITE_MAX_SITES}"
-    elif key in ("tolerance", "tangle_tolerance"):
-        ok = value is None or (
-            (_is_int(value) or isinstance(value, float)) and 0 < value <= sys.float_info.max
-        )
-        need = "a positive finite number"
-    else:
-        return
-    if not ok:
-        raise ConfigError(f"relation {name} {key} must be {need}, got {brief(value)}")
+        return _integer(value, what, 0, SUITE_MAX_COUNT, ConfigError)
+    if key in ("tolerance", "tangle_tolerance"):
+        if value is not None and not _is_tolerance(value):
+            raise ConfigError(f"{what} must be a positive finite number, got {brief(value)}")
+        return value
+    if key == "grids":
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {brief(value)}")
+    if key == "cuts":  # a cut builds a 4^(na + nb) projector
+        if not all(isinstance(cut, (list, tuple)) and len(cut) == 2 for cut in value):
+            raise ConfigError(f"{what} must be a list of [na, nb] pairs, got {brief(value)}")
+        top = SUITE_MAX_SITES - 1
+        cuts = [[_integer(v, f"{what} entry", 1, top, ConfigError) for v in cut] for cut in value]
+        if any(sum(cut) > SUITE_MAX_SITES for cut in cuts):
+            raise ConfigError(f"{what} must have na + nb <= {SUITE_MAX_SITES}, got {brief(value)}")
+        return cuts
+    lo, hi = {  # a size n builds 2^n-entry states or a 4^n density matrix
+        "sizes": (3 if name == "R8" else 2, SUITE_MAX_SITES),  # W states start at 3, k-ME at 2
+        "ranks": (1, None),  # SuiteConfig checks each against 2^n for every size n
+        "families": (min(FAMILY_LABELS), max(FAMILY_LABELS)),
+    }[key]
+    return [_integer(v, f"{what} entry", lo, hi, ConfigError) for v in value]
 
 
 def _complex_from_config(value) -> complex:
     try:
-        if isinstance(value, (int, float)):
+        if isinstance(value, numbers.Real):
             return complex(value)
         if isinstance(value, (list, tuple)) and len(value) == 2:
             return complex(float(value[0]), float(value[1]))
@@ -605,8 +598,7 @@ class SuiteConfig:
     relations: Union[dict, list] = field(default_factory=lambda: list(_RELATIONS))
 
     def __post_init__(self):
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {brief(self.seed)}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, error=ConfigError))
         normalized: dict[str, dict] = {}
         rels = self.relations
         if isinstance(rels, (list, tuple)):
@@ -626,8 +618,7 @@ class SuiteConfig:
             bad = set(spec) - set(defaults)
             if bad:
                 raise ConfigError(f"relation {name} has unknown keys {brief(sorted(bad))}")
-            for key, value in spec.items():
-                _check_spec_value(name, key, value)
+            spec = {key: _spec_value(name, key, value) for key, value in spec.items()}
             merged = copy.deepcopy({**defaults, **spec})
             top = 2 ** min(merged.get("sizes") or [SUITE_MAX_SITES])
             if any(rank > top for rank in merged.get("ranks", ())):
@@ -734,8 +725,8 @@ def _relation_cases(rel: RelationId, spec: dict, base: int):
         yield (bell, (0,)), "bell cut 1|1"
         for ci, (na, nb) in enumerate(spec["cuts"]):
             for i in range(spec["samples"]):
-                psi = _random_rank2(int(na), int(nb), seed_for(9, ci * 1000 + i))
-                yield (psi, tuple(range(int(na)))), f"rank2 cut {na}|{nb} #{i:03d}"
+                psi = _random_rank2(na, nb, seed_for(9, ci * 1000 + i))
+                yield (psi, tuple(range(na))), f"rank2 cut {na}|{nb} #{i:03d}"
 
 
 def _random_rank2(na: int, nb: int, seed: int) -> PureState:
