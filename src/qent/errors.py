@@ -1,7 +1,11 @@
 """Exception classes shared across the package, brief() for their
-messages, and _integer(), the one check of every integer argument (a
-site, k, qubit count, rank, count, family id or seed)."""
+messages, and the one check of each kind of numeric argument: _integer,
+_real, _complex and _complex_array.  Each takes Python and numpy numbers
+alike, never a bool, string or None, refuses NaN and Inf, and raises
+the class its caller names."""
+import cmath
 import re
+from contextlib import suppress
 
 import numpy as np
 
@@ -58,6 +62,13 @@ class InputError(QentError):
     """Malformed or out-of-tolerance external input (state files, CLI values)."""
 
 
+def _span(lo, hi, fmt: str = "") -> str:
+    """' in [lo, hi]', ' >= lo', ' <= hi' or '', each bound formatted by fmt."""
+    if lo is None:
+        return "" if hi is None else f" <= {hi:{fmt}}"
+    return f" >= {lo:{fmt}}" if hi is None else f" in [{lo:{fmt}}, {hi:{fmt}}]"
+
+
 def _integer(value, what: str, lo=None, hi=None, error: type = OutOfRange) -> int:
     """value as a Python int if it is an int or numpy integer, not a bool,
     in [lo, hi] (a bound of None is open); otherwise `error` naming `what`."""
@@ -65,8 +76,41 @@ def _integer(value, what: str, lo=None, hi=None, error: type = OutOfRange) -> in
         value = int(value)
         if (lo is None or lo <= value) and (hi is None or value <= hi):
             return value
-    if lo is None:
-        span = "" if hi is None else f" <= {hi}"
-    else:
-        span = f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
-    raise error(f"{what} must be an integer{span}, got {brief(value)}")
+    raise error(f"{what} must be an integer{_span(lo, hi)}, got {brief(value)}")
+
+
+def _complex(value, what: str, error: type = OutOfRange) -> complex:
+    """value as a Python complex if it is a finite Python or numpy number,
+    not a bool; otherwise `error` naming `what`."""
+    if isinstance(value, (int, float, complex, np.number)) and not isinstance(value, bool):
+        with suppress(OverflowError):  # an int too large for a float
+            if cmath.isfinite(z := complex(value)):
+                return z
+    raise error(f"{what} must be a finite number, got {brief(value)}")
+
+
+def _real(value, what: str, lo=None, hi=None, error: type = OutOfRange) -> float:
+    """value as a Python float if it is a finite number, not complex, in
+    [lo, hi] (a bound of None is open); otherwise `error` naming `what`."""
+    if not isinstance(value, (complex, np.complexfloating)):
+        with suppress(OutOfRange):  # what _complex refuses is refused below
+            x = _complex(value, what).real
+            if (lo is None or lo <= x) and (hi is None or x <= hi):
+                return x
+    raise error(f"{what} must be a finite real number{_span(lo, hi, '.6g')}, got {brief(value)}")
+
+
+def _complex_array(value, what: str, error: type) -> np.ndarray:
+    """A read-only complex copy of value, an array or nested lists of finite
+    numbers, not of bools, strings or objects; otherwise `error`."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # lists nested unevenly
+        raise error(f"{what} must be an array of numbers") from exc
+    if a.dtype.kind not in "iufc":
+        raise error(f"{what} must be numbers, got {a.dtype} entries")
+    a = a.astype(complex)
+    if not np.isfinite(a).all():
+        raise error(f"non-finite value (NaN or Inf) in {what}")
+    a.setflags(write=False)
+    return a

@@ -12,15 +12,16 @@ G_abcd in its denominator (the printed denominator belongs to family
 """
 from __future__ import annotations
 
-import cmath
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OutOfDomain, OutOfRange, ZeroVector, _integer, brief
-from .qstate import DensityMatrix, PureState, _trusted_density, clamped_sqrt, make_pure
+from .errors import (InputError, OutOfDomain, OutOfRange, ZeroVector, _complex, _complex_array,
+                     _integer, _real)
+from .partitions import MAX_SITES
+from .qstate import (DensityMatrix, PureState, _normalized, _trusted_density, clamped_sqrt,
+                     make_pure)
 
 FAMILY_LABELS = {
     1: "G_abcd",
@@ -51,14 +52,7 @@ class FamilyParams:
     def __post_init__(self):
         object.__setattr__(self, "family_id", _integer(self.family_id, "family_id", 1, 9))
         for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
-            try:
-                finite = isinstance(value, numbers.Number) and cmath.isfinite(value)
-            except OverflowError:  # an int too large for a float
-                finite = False
-            if not finite:
-                raise OutOfRange(f"parameter {name} must be a finite number, got {brief(value)}")
-            object.__setattr__(self, name, complex(value))
+            object.__setattr__(self, name, _complex(getattr(self, name), f"parameter {name}"))
 
     @property
     def label(self) -> str:
@@ -115,15 +109,11 @@ def w_class(coeffs: Sequence[complex]) -> PureState:
     """Single-excitation state a_1|0...01> + a_2|0...10> + ... + a_n|10...0>.
 
     Coefficient a_i multiplies the basis ket whose single 1 sits at
-    site n - i (0-based), i.e. basis index 2^(i-1).
+    site n - i (0-based), i.e. basis index 2^(i-1).  InputError unless
+    the coefficients are finite numbers.
     """
-    coeffs = np.asarray(coeffs, dtype=complex).ravel()
-    n = coeffs.size
-    if n < 2:
-        raise OutOfRange(f"W-class states need n >= 2 coefficients, got {n}")
-    norm = float(np.linalg.norm(coeffs))
-    if norm < 1e-12:
-        raise ZeroVector("W-class coefficients have (near-)zero norm")
+    coeffs = _complex_array(coeffs, "W-class coefficients", InputError).ravel()
+    n = _integer(coeffs.size, "W-class coefficient count", 2)
     v = np.zeros(2**n, dtype=complex)
     for i in range(n):
         v[2**i] = coeffs[i]
@@ -140,8 +130,7 @@ def ghz_noise(n: int, t: float) -> DensityMatrix:
     """GHZ state mixed with white noise:
     (1 - t)/2^n * identity + t |GHZ_n><GHZ_n|."""
     n = _integer(n, "ghz_noise n", 2)
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"noise parameter t={t} outside [0, 1]")
+    t = _real(t, "ghz_noise t", 0, 1)
     g = ghz(n).amplitudes
     m = (1.0 - t) / 2**n * np.eye(2**n) + t * np.outer(g, g.conj())
     return _trusted_density(m, n)
@@ -149,16 +138,15 @@ def ghz_noise(n: int, t: float) -> DensityMatrix:
 
 def ghz_noise_threshold(n: int) -> float:
     """Visibility below which the GHZ + white-noise mixture is fully separable."""
-    return 1.0 / (2 ** (_integer(n, "ghz_noise n", 2) - 1) + 1)
+    return 1.0 / (2 ** (_integer(n, "ghz_noise n", 2, MAX_SITES) - 1) + 1)
 
 
 def ghz_noise_negativity(n: int, t: float) -> float:
     """Per-site negativity of the GHZ + white-noise mixture,
     ((2^(n-1) + 1) t - 1) / 2^(n-1), clamped at 0 below the separability
     threshold."""
-    n = _integer(n, "ghz_noise n", 2)
-    if not 0.0 <= t <= 1.0:
-        raise OutOfRange(f"noise parameter t={t} outside [0, 1]")
+    n = _integer(n, "ghz_noise n", 2, MAX_SITES)
+    t = _real(t, "ghz_noise t", 0, 1)
     half = 2 ** (n - 1)
     return max(0.0, ((half + 1) * t - 1.0) / half)
 
@@ -166,11 +154,9 @@ def ghz_noise_negativity(n: int, t: float) -> float:
 def ghz_noise_nme_exact(n: int, t: float) -> float:
     """Exact n-ME concurrence of the GHZ + white-noise mixture,
     ((2^(n-1) + 1) t - 1) / 2^(n-1), valid for t between the
-    separability threshold and 1."""
-    n = _integer(n, "ghz_noise n", 2)
-    lo = ghz_noise_threshold(n)
-    if t < lo - 1e-12 or t > 1.0 + 1e-12:
-        raise OutOfDomain(f"t={t} outside the exactness interval [{lo}, 1]")
+    separability threshold and 1 (OutOfDomain otherwise)."""
+    n = _integer(n, "ghz_noise n", 2, MAX_SITES)
+    t = _real(t, "exactness t", ghz_noise_threshold(n) - 1e-12, 1 + 1e-12, OutOfDomain)
     half = 2 ** (n - 1)
     return max(0.0, ((half + 1) * t - 1.0) / half)
 
@@ -438,14 +424,11 @@ def _closed_forms(params: FamilyParams) -> ClosedFormPrediction:
 def w_two_tangle(coeffs: Sequence[complex], i: int, j: int) -> float:
     """Two-tangle of subsystems i < j (1-based labels) of a W-class state:
     4 |a_{n+1-i}|^2 |a_{n+1-j}|^2 with normalized coefficients."""
-    coeffs = np.asarray(coeffs, dtype=complex).ravel()
+    coeffs = _complex_array(coeffs, "W-class coefficients", InputError).ravel()
     n = coeffs.size
     i = _integer(i, "i", 1, n - 1)
     j = _integer(j, "j", i + 1, n)
-    norm = float(np.linalg.norm(coeffs))
-    if norm < 1e-12:
-        raise ZeroVector("W-class coefficients have (near-)zero norm")
-    coeffs = coeffs / norm
+    coeffs = _normalized(coeffs, "W-class coefficient list")
     return float(4.0 * abs(coeffs[n - i]) ** 2 * abs(coeffs[n - j]) ** 2)
 
 

@@ -325,30 +325,29 @@ def _kme_minima(tables: np.ndarray, n: int, k: int) -> list[tuple[float, Partiti
     tables.
 
     A partition's block sum is right-nested in canonical block order,
-    S(B_1) + (S(B_2) + (... + S(B_k))).  A backward DP over canonical
-    steps gives sums[j][:, t], the least sum of the k - j blocks that
-    step t and the steps after it add to a prefix of j blocks; the last
-    block is what the step before it leaves.  Float addition is
-    monotone, so a prefix nested around its least completion gives the
-    least sum of every partition that starts with it: the minimum is
+    S(B_1) + (S(B_2) + (... + S(B_k))).  A backward DP keeps least[j],
+    the least sum for each layer-j group (a prefix of j blocks) of the
+    k - j blocks its steps and the steps after them add: a step's sum is
+    its block's entropy plus least[j + 1] of the group it leads to, or
+    on the last layer the entropy of the sites it leaves.  Float addition
+    is monotone, so a prefix nested around its least completion gives
+    the least sum of every partition that starts with it: the minimum is
     exact, and a greedy walk keeps, block by block, the first candidate
-    in lexicographic order whose least sum still rounds to the k-ME value.
+    in lexicographic order whose sum still rounds to the k-ME value.
     """
     block, rest, nxt, starts, last, layers = _kme_plan(n, k)
     count = len(tables)
     entropy = tables.take(block, 1)
-    sums = [None] * (k - 1)
+    least = [None] * (k - 1)
     for j in range(k - 2, -1, -1):
         lo, hi, first, segments, _ = layers[j]
         steps = slice(first, starts[hi])
-        after = tables.take(rest[steps], 1) if j == k - 2 else least.take(nxt[steps], 1)
-        sums[j] = entropy[:, steps] + after
-        if j:
-            least = np.full((count, len(starts)), np.inf)  # the last column: no group
-            np.minimum.reduceat(sums[j], segments, axis=1, out=least[:, lo:hi])
+        after = tables.take(rest[steps], 1) if j == k - 2 else least[j + 1].take(nxt[steps], 1)
+        least[j] = np.full((count, len(starts)), np.inf)  # the last column: no group
+        np.minimum.reduceat(entropy[:, steps] + after, segments, axis=1, out=least[j][:, lo:hi])
 
     rows = np.arange(count)[:, None]
-    value = np.sqrt(2.0 * sums[0].min(axis=1) / k)
+    value = np.sqrt(2.0 * least[0][:, 0] / k)
     target = value[:, None]
     group, nested, chosen = np.zeros(count, dtype=np.intp), [], []
     for j in range(k - 1):
@@ -356,7 +355,8 @@ def _kme_minima(tables: np.ndarray, n: int, k: int) -> list[tuple[float, Partiti
         lo = starts[group]
         # a state with a smaller group repeats its last step to fill the row
         steps = np.minimum(lo[:, None] + span, last[group][:, None])
-        total = sums[j][rows, steps - first]
+        after = tables[rows, rest[steps]] if j == k - 2 else least[j + 1][rows, nxt[steps]]
+        total = entropy[rows, steps] + after
         for s in reversed(nested):
             total = s + total
         step = lo + (np.sqrt(2.0 * total / k) == target).argmax(1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import IndexOutOfRange, _integer
+from .errors import IndexOutOfRange, _integer, brief
 
 # largest n that k_partitions enumerates and kme_concurrence_pure accepts
 MAX_SITES = 14
@@ -28,19 +28,11 @@ class Partition:
             tuple(_integer(s, "site", 0, error=IndexOutOfRange) for s in b) for b in self.blocks
         )
         object.__setattr__(self, "blocks", blocks)
-        seen: set[int] = set()
-        for b in blocks:
-            if not b:
-                raise ValueError("empty block in partition")
-            if list(b) != sorted(set(b)):
-                raise ValueError(f"block {b} not sorted/distinct")
-            if seen & set(b):
-                raise ValueError(f"block {b} overlaps another block")
-            seen |= set(b)
-        if seen != set(range(len(seen))):
-            raise ValueError(f"blocks do not cover a contiguous site range: {blocks}")
-        if blocks != tuple(sorted(blocks, key=lambda b: b[0])):
-            raise ValueError("blocks not ordered by smallest element")
+        # non-empty ascending blocks in order, holding each of 0..n-1 once
+        sites = sorted(s for b in blocks for s in b)
+        if not (all(b and list(b) == sorted(b) for b in blocks) and list(blocks) == sorted(blocks)
+                and sites == list(range(len(sites)))):
+            raise IndexOutOfRange(f"blocks {brief(blocks)} are not a canonical partition")
 
     @property
     def num_sites(self) -> int:

@@ -16,7 +16,8 @@ given.  Density matrices that qent builds from states it already holds
 come from _trusted_density and skip the checks.  A site index and a
 constructor's num_sites pass errors._integer, as every integer argument
 in qent does: an int or numpy integer, never a bool or a float, kept as
-a Python int.
+a Python int.  Amplitudes, matrix entries and local unitaries pass
+errors._complex_array: finite numbers, kept as a read-only complex copy.
 
 Functions of a pure state take it through the private gate _pure, and
 functions of a density matrix through _density, which builds
@@ -50,6 +51,7 @@ from .errors import (
     NotHermitian,
     NotUnitary,
     ZeroVector,
+    _complex_array,
     _integer,
     brief,
 )
@@ -95,12 +97,6 @@ def _check_qubit_shape(what: str, shape: tuple, ndim: int, n) -> int:
     return n
 
 
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized complex amplitude vector over num_sites qubit factors."""
@@ -111,12 +107,10 @@ class PureState:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        amps = _frozen_array(self.amplitudes)
+        amps = _complex_array(self.amplitudes, "amplitudes", InputError)
         object.__setattr__(self, "amplitudes", amps)
         n = _check_qubit_shape("amplitude vector", amps.shape, 1, self.num_sites)
         object.__setattr__(self, "num_sites", n)
-        if not np.isfinite(amps).all():
-            raise InputError("amplitudes contain non-finite values (NaN or Inf)")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise InputError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -136,12 +130,10 @@ class DensityMatrix:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _frozen_array(self.entries)
+        m = _complex_array(self.entries, "matrix", InputError)
         object.__setattr__(self, "entries", m)
         n = _check_qubit_shape("matrix", m.shape, 2, self.num_sites)
         object.__setattr__(self, "num_sites", n)
-        if not np.isfinite(m).all():
-            raise InputError("matrix contains non-finite values (NaN or Inf)")
         herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > HERMITICITY_TOL:
             raise NotHermitian(f"Hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL}")
@@ -179,19 +171,27 @@ class SchmidtSpectrum:
 def make_pure(amplitudes: Sequence[complex], num_sites: int) -> PureState:
     """Build a PureState, rescaling the input vector to unit norm.
 
-    Raises DimensionMismatch if the length is not 2**num_sites and
-    ZeroVector if the norm is below 1e-12.
+    Raises InputError unless they are finite numbers, DimensionMismatch
+    if their count is not 2**num_sites and ZeroVector if their norm is
+    below 1e-12.
     """
-    amps = np.asarray(amplitudes, dtype=complex).ravel()
+    amps = _complex_array(amplitudes, "amplitudes", InputError).ravel()
     _check_qubit_shape("vector", amps.shape, 1, num_sites)
+    return PureState(_normalized(amps, "vector"), num_sites)
+
+
+def _normalized(v: np.ndarray, what: str) -> np.ndarray:
+    """v / ||v|| for a finite complex vector v, scaled by its largest
+    modulus first if the squares overflow; ZeroVector naming `what` if
+    the norm is below 1e-12."""
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(amps))
-    if norm == np.inf:  # the squares overflowed: scale by the largest modulus first
-        amps = amps / np.max(np.abs(amps))
-        norm = float(np.linalg.norm(amps))
+        norm = float(np.linalg.norm(v))
+    if norm == np.inf:
+        v = v / np.max(np.abs(v))
+        norm = float(np.linalg.norm(v))
     if norm < 1e-12:
-        raise ZeroVector("cannot normalize a (near-)zero vector")
-    return PureState(amps / norm, num_sites)
+        raise ZeroVector(f"cannot normalize a (near-)zero {what}")
+    return v / norm
 
 
 def _trusted_density(entries: np.ndarray, num_sites: int, **memo) -> DensityMatrix:
@@ -369,7 +369,7 @@ def apply_local_unitary(psi: PureState, site: int, u: np.ndarray) -> PureState:
     """Apply a 2x2 unitary to one site of a pure state."""
     n = _pure(psi).num_sites
     site = _integer(site, "site", 0, n - 1, IndexOutOfRange)
-    u = np.asarray(u, dtype=complex)
+    u = _complex_array(u, "local unitary", InputError)
     if u.shape != (2, 2):
         raise DimensionMismatch(f"local unitary must be 2x2, got {u.shape}")
     resid = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
@@ -431,15 +431,9 @@ def state_from_json(text: str) -> Union[PureState, DensityMatrix]:
         raise InputError("state entries must be numbers, not true or false")
     try:
         if kind == "pure":
-            amps = np.array(
-                [complex(re, im) for re, im in payload["amplitudes"]], dtype=complex
-            )
-            return PureState(amps, n)
+            return PureState([complex(re, im) for re, im in payload["amplitudes"]], n)
         if kind == "density":
-            m = np.array(
-                [[complex(re, im) for re, im in row] for row in payload["matrix"]],
-                dtype=complex,
-            )
+            m = [[complex(re, im) for re, im in row] for row in payload["matrix"]]
             return DensityMatrix(m, n)
     except InputError:
         raise

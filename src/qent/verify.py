@@ -41,15 +41,14 @@ import io
 import itertools
 import json
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleInput, InputError, _integer, brief
+from .errors import (ConfigError, IncompatibleInput, InputError, _complex_array, _integer,
+                     _real, brief)
 from .families import (
     FAMILY_LABELS,
     FAMILY_PARAM_COUNTS,
@@ -163,9 +162,9 @@ class Ensemble:
         sizes = {psi.num_sites if isinstance(psi, PureState) else None for psi in self.states}
         if None in sizes or len(sizes) > 1:
             raise InputError("ensemble states must be pure states of one qubit count")
-        # each weight in [0, 1] up to rounding, which refuses NaN and Inf too
-        if not all(isinstance(p, numbers.Real) and -1e-12 <= p <= 1 + 1e-9 for p in self.weights):
-            raise InputError(f"ensemble weights must be in [0, 1], got {brief(self.weights)}")
+        # each weight in [0, 1] up to rounding
+        weights = tuple(_real(p, "weight", -1e-12, 1 + 1e-9, InputError) for p in self.weights)
+        object.__setattr__(self, "weights", weights)
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise InputError(f"ensemble weights sum to {sum(self.weights)}")
 
@@ -205,7 +204,7 @@ def random_ensemble(n: int, rank: int, seed: int) -> Ensemble:
         v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         states.append(PureState(v / np.linalg.norm(v), n))
     weights = rng.dirichlet(np.ones(rank))
-    return Ensemble(tuple(float(p) for p in weights), tuple(states))
+    return Ensemble(tuple(weights), tuple(states))
 
 
 def random_mixed(n: int, rank: int, seed: int) -> DensityMatrix:
@@ -252,11 +251,7 @@ def _ghz_noise_args(payload) -> tuple[int, float]:
     """(n, t) of an R3 payload: a tuple of an integer n and a number t."""
     if not (isinstance(payload, tuple) and len(payload) == 2):
         raise IncompatibleInput("R3 expects (n, t)")
-    try:
-        tvis = float(payload[1])
-    except (TypeError, ValueError) as exc:
-        raise IncompatibleInput(f"R3 t must be a number, got {brief(payload[1])}") from exc
-    return _num_sites("R3 n", payload[0]), tvis
+    return _num_sites("R3 n", payload[0]), _real(payload[1], "R3 t", error=IncompatibleInput)
 
 
 # A checker is a plain function (payloads, tol, tangle_tol) -> one list
@@ -397,10 +392,7 @@ def _check_r8(payload, tol: float, tangle_tol: float):
         return [(f"k={k}", w_kme_closed_form(n, k), value, tol, {}) for k, value in zip(ks, kme)]
     if kind != "w_two_tangle":
         raise IncompatibleInput(f"unknown R8 payload kind {brief(kind)}")
-    try:
-        coeffs = np.asarray(arg, dtype=complex).ravel()
-    except (TypeError, ValueError) as exc:
-        raise IncompatibleInput("R8 coeffs must be complex numbers") from exc
+    coeffs = _complex_array(arg, "R8 coeffs", IncompatibleInput).ravel()
     n = _num_sites("R8 coefficient count", coeffs.size)
     psi = w_class(coeffs)
     return [
@@ -495,8 +487,7 @@ def check(
         rel = RelationId(relation)
     except ValueError as exc:
         raise IncompatibleInput(f"unknown relation {brief(relation)}") from exc
-    if tol is not None and not _is_tolerance(tol):
-        raise IncompatibleInput(f"tol must be a positive finite number, got {brief(tol)}")
+    tol = None if tol is None else _tolerance(tol, "tol", IncompatibleInput)
     return _run_group([(rel, payload, _describe_payload(rel, payload), tol, None)])
 
 
@@ -516,10 +507,11 @@ def _describe_payload(rel: RelationId, payload) -> str:
 # suite configuration and execution
 
 
-def _is_tolerance(value) -> bool:
-    """True for a positive finite real number that is not a bool."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and 0 < value <= sys.float_info.max
+def _tolerance(value, what: str, error: type) -> float:
+    """value as a float if it is a positive finite real number; `error` otherwise."""
+    if (tol := _real(value, what, error=error)) > 0:
+        return tol
+    raise error(f"{what} must be positive, got {brief(value)}")
 
 
 def _spec_value(name: str, key: str, value):
@@ -530,9 +522,7 @@ def _spec_value(name: str, key: str, value):
     if key in ("samples", "t_points", "random_t", "random_points"):
         return _integer(value, what, 0, SUITE_MAX_COUNT, ConfigError)
     if key in ("tolerance", "tangle_tolerance"):
-        if value is not None and not _is_tolerance(value):
-            raise ConfigError(f"{what} must be a positive finite number, got {brief(value)}")
-        return value
+        return value if value is None else _tolerance(value, what, ConfigError)
     if key == "grids":
         return value
     if not isinstance(value, (list, tuple)):
@@ -554,14 +544,10 @@ def _spec_value(name: str, key: str, value):
 
 
 def _complex_from_config(value) -> complex:
-    try:
-        if isinstance(value, numbers.Real):
-            return complex(value)
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            return complex(float(value[0]), float(value[1]))
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"grid value {brief(value)} must be a number or an [re, im] pair")
+    """An R7 grid value, a real number or an [re, im] pair of them, as a
+    complex; ConfigError otherwise (JSON true and false included)."""
+    pair = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    return complex(*(_real(v, "grid value", error=ConfigError) for v in pair))
 
 
 def _custom_grid(grids: dict, fam: int) -> Optional[list[FamilyParams]]:

@@ -512,7 +512,7 @@ class TestSuiteCountCaps:
 
     @pytest.mark.parametrize("grid", [[[float("nan")]], [[float("inf")]], [[[0.5, float("nan")]]]])
     def test_non_finite_grid_value_refused_when_built(self, grid):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ConfigError):
             SuiteConfig(relations={"R7": {"families": [6], "grids": {"6": grid}}})
 
     @pytest.mark.parametrize("relations", [
