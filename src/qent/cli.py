@@ -29,10 +29,10 @@ from .measures import (
     wootters_concurrence,
 )
 from .qstate import PureState, load_state, save_state, state_to_json
-from .verify import SUITE_MAX_COUNT, SuiteConfig, _csv_text, random_mixed, random_pure, run_suite
+from .verify import (CSV_PRECISION, SUITE_MAX_COUNT, SuiteConfig, _csv_text, random_mixed,
+                     random_pure, run_suite)
 
 DISPLAY = ".12g"
-CSV_PRECISION = ".17g"
 
 
 def _parse_complex(text: str) -> complex:

@@ -4,6 +4,7 @@ _real, _complex and _complex_array.  Each takes Python and numpy numbers
 alike, never a bool, string or None, refuses NaN and Inf, and raises
 the class its caller names."""
 import cmath
+import itertools
 import re
 from contextlib import suppress
 
@@ -109,6 +110,12 @@ def _complex_array(value, what: str, error: type) -> np.ndarray:
         raise error(f"{what} must be an array of numbers") from exc
     if a.dtype.kind not in "iufc":
         raise error(f"{what} must be numbers, got {a.dtype} entries")
+    if isinstance(value, (list, tuple)):  # numpy casts bools mixed with numbers to numbers
+        entries = value
+        for _ in range(a.ndim - 1):
+            entries = itertools.chain.from_iterable(entries)
+        if not {bool, np.bool_}.isdisjoint(map(type, entries)):
+            raise error(f"{what} must be numbers, got a bool among them")
     a = a.astype(complex)
     if not np.isfinite(a).all():
         raise error(f"non-finite value (NaN or Inf) in {what}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (InputError, OutOfDomain, OutOfRange, ZeroVector, _complex, _complex_array,
                      _integer, _real)
-from .partitions import MAX_SITES
+from .measures import MAX_SITES
 from .qstate import (DensityMatrix, PureState, _normalized, _trusted_density, clamped_sqrt,
                      make_pure)
 
@@ -98,8 +98,9 @@ class ClosedFormPrediction:
 
 
 def ghz(n: int) -> PureState:
-    """(|0...0> + |1...1>) / sqrt(2) on n qubits."""
-    n = _integer(n, "GHZ n", 2)
+    """(|0...0> + |1...1>) / sqrt(2) on n qubits; OutOfRange unless n is an
+    integer in [2, MAX_SITES]."""
+    n = _integer(n, "GHZ n", 2, MAX_SITES)
     v = np.zeros(2**n, dtype=complex)
     v[0] = v[-1] = 1.0
     return make_pure(v, n)
@@ -110,10 +111,11 @@ def w_class(coeffs: Sequence[complex]) -> PureState:
 
     Coefficient a_i multiplies the basis ket whose single 1 sits at
     site n - i (0-based), i.e. basis index 2^(i-1).  InputError unless
-    the coefficients are finite numbers.
+    the coefficients are finite numbers, OutOfRange unless there are 2 to
+    MAX_SITES of them.
     """
     coeffs = _complex_array(coeffs, "W-class coefficients", InputError).ravel()
-    n = _integer(coeffs.size, "W-class coefficient count", 2)
+    n = _integer(coeffs.size, "W-class coefficient count", 2, MAX_SITES)
     v = np.zeros(2**n, dtype=complex)
     for i in range(n):
         v[2**i] = coeffs[i]
@@ -121,15 +123,17 @@ def w_class(coeffs: Sequence[complex]) -> PureState:
 
 
 def w(n: int) -> PureState:
-    """Uniform W state on n qubits."""
-    n = _integer(n, "W n", 2)
+    """Uniform W state on n qubits; OutOfRange unless n is an integer in
+    [2, MAX_SITES]."""
+    n = _integer(n, "W n", 2, MAX_SITES)
     return w_class(np.ones(n) / np.sqrt(n))
 
 
 def ghz_noise(n: int, t: float) -> DensityMatrix:
     """GHZ state mixed with white noise:
-    (1 - t)/2^n * identity + t |GHZ_n><GHZ_n|."""
-    n = _integer(n, "ghz_noise n", 2)
+    (1 - t)/2^n * identity + t |GHZ_n><GHZ_n|; OutOfRange unless n is an
+    integer in [2, MAX_SITES] and t a real number in [0, 1]."""
+    n = _integer(n, "ghz_noise n", 2, MAX_SITES)
     t = _real(t, "ghz_noise t", 0, 1)
     g = ghz(n).amplitudes
     m = (1.0 - t) / 2**n * np.eye(2**n) + t * np.outer(g, g.conj())
@@ -434,8 +438,9 @@ def w_two_tangle(coeffs: Sequence[complex], i: int, j: int) -> float:
 
 def w_kme_closed_form(n: int, k: int) -> float:
     """k-ME concurrence of the uniform W state:
-    sqrt(2/k * ((k-1) n - k (k-1)/2) * tau) with pair tangle tau = 4/n^2."""
-    n = _integer(n, "W n", 3)
+    sqrt(2/k * ((k-1) n - k (k-1)/2) * tau) with pair tangle tau = 4/n^2,
+    for n in [3, MAX_SITES] and k in [2, n]."""
+    n = _integer(n, "W n", 3, MAX_SITES)
     k = _integer(k, "k", 2, n)
     tau = 4.0 / n**2
     return float(np.sqrt(2.0 / k * ((k - 1) * n - k * (k - 1) / 2.0) * tau))

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IncompatibleInput, IndexOutOfRange, OutOfRange
 from .errors import _integer, brief
-from .partitions import MAX_SITES, Partition
+from .partitions import Partition
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -55,6 +55,9 @@ from .qstate import (
     schmidt_weights,
 )
 
+# largest n that k-ME accepts (n = 14, k = 7 takes about a minute); the
+# GHZ, W and GHZ + noise constructors and closed forms share it
+MAX_SITES = 14
 # eigenvalues of a partial transpose above this are treated as non-negative
 NEGATIVE_EIGENVALUE_FLOOR = -1e-12
 

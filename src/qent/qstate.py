@@ -16,7 +16,8 @@ given.  Density matrices that qent builds from states it already holds
 come from _trusted_density and skip the checks.  A site index and a
 constructor's num_sites pass errors._integer, as every integer argument
 in qent does: an int or numpy integer, never a bool or a float, kept as
-a Python int.  Amplitudes, matrix entries and local unitaries pass
+a Python int.  Amplitudes, matrix entries, local unitaries and the raw
+matrices that purity and hermitian_eigenvalues take pass
 errors._complex_array: finite numbers, kept as a read-only complex copy.
 
 Functions of a pure state take it through the private gate _pure, and
@@ -347,18 +348,31 @@ def partial_transpose_sites(
     return np.ascontiguousarray(t).reshape(2**num_sites, 2**num_sites)
 
 
+def _square(m: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
+    """The entries of a DensityMatrix, or of a raw square matrix of finite
+    numbers as a complex copy; InputError or DimensionMismatch otherwise."""
+    if isinstance(m, DensityMatrix):
+        return m.entries
+    a = _complex_array(m, "matrix", InputError)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"need a square matrix, got shape {brief(a.shape)}")
+    return a
+
+
 def purity(rho: Union[DensityMatrix, np.ndarray]) -> float:
-    """Tr(rho^2), real."""
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    """Tr(rho^2), real, of a DensityMatrix or a square matrix of numbers."""
+    m = _square(rho)
     return float(np.real(np.einsum("ij,ji->", m, m)))
 
 
 def hermitian_eigenvalues(m: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending.
 
-    Raises NotHermitian if the Hermiticity residual exceeds 1e-8.
+    Raises InputError or DimensionMismatch unless m is a DensityMatrix or
+    a square matrix of finite numbers, and NotHermitian if the
+    Hermiticity residual exceeds 1e-8.
     """
-    a = m.entries if isinstance(m, DensityMatrix) else np.asarray(m, dtype=complex)
+    a = _square(m)
     resid = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if resid > SPECTRAL_TOL:
         raise NotHermitian(f"Hermiticity residual {resid:.3e} exceeds {SPECTRAL_TOL}")

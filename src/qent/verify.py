@@ -1,19 +1,21 @@
 """Relation-verification harness.
 
 Each RelationId names one quantitative relation among the measures.  A
-relation's checker is a plain function from a list of payloads and the
-tolerances to one list of bare rows (label, lhs, rhs, tolerance, row
-options) per payload; it knows neither its relation nor the cases'
-descriptors.  Checkers take k-ME for all their payloads from one
-measures.kme_concurrence_stack call per k.  _run_group() is the only
-dispatch: it calls the checker, and _run_case() stamps each case's rows
-with the relation and the descriptor joined to the row's label.
-check() evaluates one relation on one input, a group of one.
-run_suite() drives a configurable batch over fixed anchor states plus
-seeded random families through the same dispatch, serially, in groups
-of consecutive cases of one relation, and aggregates a deterministic
-report.  Its SuiteConfig is checked in full when built, so
-_suite_cases only generates cases, as run_suite asks for them.
+case is a (payload, descriptor) pair.  A relation's checker is a plain
+function from a list of trusted payloads and the tolerances to one list
+of bare rows (label, lhs, rhs, tolerance, row options) per payload; it
+knows neither its relation nor the cases' descriptors.  Checkers take
+k-ME for all their payloads from one measures.kme_concurrence_stack
+call per k.  _run_group() is the only dispatch: it calls the checker,
+and _run_case() stamps each case's rows with the relation and the
+descriptor joined to the row's label.  check() evaluates one relation
+on one payload, a group of one, once _admit(), its only door, has
+checked and capped the payload and made its case.  run_suite() drives a
+configurable batch over fixed anchor states plus seeded random families
+through the same dispatch, serially, streaming each relation's
+_relation_cases in groups, and aggregates a deterministic report.  Its
+SuiteConfig is checked in full when built, so _relation_cases only
+generates cases, as run_suite asks for them.
 
 Relations:
     R1  pure n-qubit identity: C_n-ME equals the negativity quadratic mean
@@ -111,6 +113,8 @@ VERDICT_FAIL = "fail"
 VERDICT_INEQ = "inequality-satisfied"
 VERDICT_SKIP = "skip"
 
+# format of every float in the report CSV, 17 digits so that it reads back exactly
+CSV_PRECISION = ".17g"
 # columns of the report CSV, shared with `qent measure --csv`
 CSV_HEADER = [
     "relation",
@@ -234,32 +238,12 @@ def _row(relation: RelationId, desc: str, lhs: float, rhs: float, tol: float,
     )
 
 
-def _expect_pure(payloads: list, n: Optional[int]):
-    for payload in payloads:
-        sites = _pure(payload).num_sites
-        if n is not None and sites != n:
-            raise IncompatibleInput(f"expected {n} sites, got {sites}")
-
-
-def _num_sites(what: str, n) -> int:
-    """The qubit count of an R3 or R8 payload: IncompatibleInput unless it
-    is an integer, OutOfRange above SUITE_MAX_SITES, before any state is built."""
-    return _integer(_integer(n, what, error=IncompatibleInput), what, hi=SUITE_MAX_SITES)
-
-
-def _ghz_noise_args(payload) -> tuple[int, float]:
-    """(n, t) of an R3 payload: a tuple of an integer n and a number t."""
-    if not (isinstance(payload, tuple) and len(payload) == 2):
-        raise IncompatibleInput("R3 expects (n, t)")
-    return _num_sites("R3 n", payload[0]), _real(payload[1], "R3 t", error=IncompatibleInput)
-
-
 # A checker is a plain function (payloads, tol, tangle_tol) -> one list
 # of rows per payload, with both tolerances already resolved by
-# _run_group.  It validates its own payloads (IncompatibleInput on a
-# mismatch) and returns bare rows (label, lhs, rhs, tolerance, options):
-# the label is appended to the case's descriptor, and options are _row's
-# keywords.
+# _run_group.  Its payloads are the suite's own or admitted by _admit,
+# so it only computes, and returns bare rows (label, lhs, rhs, tolerance,
+# options): the label is appended to the case's descriptor, and options
+# are _row's keywords.
 
 
 def _per_payload(checker: Callable) -> Callable:
@@ -279,7 +263,6 @@ def _kme_values(states: list, ks: list) -> list[tuple[float, ...]]:
 
 
 def _check_r1(payloads: list, tol: float, tangle_tol: float):
-    _expect_pure(payloads, None)
     kme = _kme_values(payloads, [(psi.num_sites,) for psi in payloads])
     return [
         [("", lhs, quadratic_mean(transposed_profile(psi).per_site), tol, {})]
@@ -288,8 +271,6 @@ def _check_r1(payloads: list, tol: float, tangle_tol: float):
 
 
 def _check_r2(payloads: list, tol: float, tangle_tol: float):
-    if not all(isinstance(ens, Ensemble) for ens in payloads):
-        raise IncompatibleInput("R2 expects an Ensemble")
     states = [psi for ens in payloads for psi in ens.states]
     kme = iter(_kme_values(states, [(ens.num_sites,) for ens in payloads for _ in ens.states]))
     out = []
@@ -302,7 +283,7 @@ def _check_r2(payloads: list, tol: float, tangle_tol: float):
 
 
 def _check_r3(payload: tuple[int, float], tol: float, tangle_tol: float):
-    n, tvis = _ghz_noise_args(payload)
+    n, tvis = payload
     prof = transposed_profile(ghz_noise(n, tvis)).per_site
     rows = [("exact n-ME value", ghz_noise_nme_exact(n, tvis), quadratic_mean(prof), tol, {})]
     pred = ghz_noise_negativity(n, tvis)
@@ -310,7 +291,6 @@ def _check_r3(payload: tuple[int, float], tol: float, tangle_tol: float):
 
 
 def _check_r4(payloads: list, tol: float, tangle_tol: float):
-    _expect_pure(payloads, 3)
     out = []
     for psi, (c2, c3) in zip(payloads, _kme_values(payloads, [(2, 3)] * len(payloads))):
         prof = transposed_profile(psi).per_site
@@ -322,7 +302,6 @@ def _check_r4(payloads: list, tol: float, tangle_tol: float):
 
 
 def _check_r5(payloads: list, tol: float, tangle_tol: float):
-    _expect_pure(payloads, 3)
     out = []
     for psi, (c2d, c3d) in zip(payloads, _kme_values(payloads, [(2, 3)] * len(payloads))):
         inv = invariants3(psi)
@@ -340,7 +319,6 @@ def _check_r5(payloads: list, tol: float, tangle_tol: float):
 
 
 def _check_r6(payloads: list, tol: float, tangle_tol: float):
-    _expect_pure(payloads, 4)
     kme = _kme_values(payloads, [(2, 3, 4)] * len(payloads))
     return [
         [
@@ -352,8 +330,6 @@ def _check_r6(payloads: list, tol: float, tangle_tol: float):
 
 
 def _check_r7(payloads: list, tol: float, tangle_tol: float):
-    if not all(isinstance(params, FamilyParams) for params in payloads):
-        raise IncompatibleInput("R7 expects FamilyParams")
     states = [slocc_family(params) for params in payloads]
     out = []
     for params, psi, kme in zip(payloads, states, _kme_values(states, [(2, 3, 4)] * len(states))):
@@ -382,21 +358,15 @@ def _check_r7(payloads: list, tol: float, tangle_tol: float):
 
 
 def _check_r8(payload, tol: float, tangle_tol: float):
-    if not isinstance(payload, tuple) or len(payload) != 2:
-        raise IncompatibleInput("R8 payload must be ('w_kme', n) or ('w_two_tangle', coeffs)")
-    kind, arg = payload
+    kind, arg = payload  # ("w_kme", n) or ("w_two_tangle", coeffs)
     if kind == "w_kme":
-        n = _num_sites("R8 n", arg)
-        ks = tuple(range(2, n + 1))
-        (kme,) = _kme_values([w(n)], [ks])
-        return [(f"k={k}", w_kme_closed_form(n, k), value, tol, {}) for k, value in zip(ks, kme)]
-    if kind != "w_two_tangle":
-        raise IncompatibleInput(f"unknown R8 payload kind {brief(kind)}")
-    coeffs = _complex_array(arg, "R8 coeffs", IncompatibleInput).ravel()
-    n = _num_sites("R8 coefficient count", coeffs.size)
-    psi = w_class(coeffs)
+        ks = tuple(range(2, arg + 1))
+        (kme,) = _kme_values([w(arg)], [ks])
+        return [(f"k={k}", w_kme_closed_form(arg, k), value, tol, {}) for k, value in zip(ks, kme)]
+    psi = w_class(arg)
+    n = psi.num_sites
     return [
-        (f"pair ({i},{j})", w_two_tangle(coeffs, i, j), _pair_tangle(psi, (i - 1, j - 1)),
+        (f"pair ({i},{j})", w_two_tangle(arg, i, j), _pair_tangle(psi, (i - 1, j - 1)),
          tangle_tol, {})
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
@@ -404,13 +374,7 @@ def _check_r8(payload, tol: float, tangle_tol: float):
 
 
 def _check_r9(payload, tol: float, tangle_tol: float):
-    if not isinstance(payload, tuple) or len(payload) != 2:
-        raise IncompatibleInput("R9 payload must be (PureState, side_a)")
-    psi, side = _pure(payload[0]), payload[1]
-    try:
-        side = tuple(_integer(s, "R9 site", 0, psi.num_sites - 1, IncompatibleInput) for s in side)
-    except TypeError as exc:
-        raise IncompatibleInput("R9 side_a must be a list of site indices") from exc
+    psi, side = payload
     lam = schmidt_weights(psi, side)
     rank = int(np.sum(lam > 1e-10))
     if rank > 2:
@@ -449,29 +413,28 @@ _RELATIONS: dict[str, _Relation] = {
 RelationId = Enum("RelationId", [(name, name) for name in _RELATIONS], type=str)
 
 
-def _run_case(case, rows) -> list[RelationCheckResult]:
+def _run_case(rel: RelationId, desc: str, rows) -> list[RelationCheckResult]:
     """Label one case's bare rows with its relation and descriptor."""
-    rel, _, desc, _, _ = case
     return [
         _row(rel, f"{desc} | {label}" if label else desc, lhs, rhs, row_tol, **options)
         for label, lhs, rhs, row_tol, options in rows
     ]
 
 
-def _run_group(cases: list) -> list[RelationCheckResult]:
-    """Run (relation, payload, descriptor, tol, tangle_tol) cases of one
-    relation and one pair of tolerances through one checker call.
+def _run_group(rel: RelationId, cases: list, tol: Optional[float],
+               tangle_tol: Optional[float]) -> list[RelationCheckResult]:
+    """Run (payload, descriptor) cases of one relation through one checker call.
 
     Tangle rows (R5 two-tangles and C3 via tangles, R8 pair tangles) use
     tangle_tol if given, else tol, else TOL_TANGLE.  Every other row uses
     tol if given, else the relation's default.
     """
-    rel, _, _, tol, tangle_tol = cases[0]
     checker, default_tol, _ = _RELATIONS[rel]
     if tangle_tol is None:
         tangle_tol = TOL_TANGLE if tol is None else tol
-    per_case = checker([case[1] for case in cases], default_tol if tol is None else tol, tangle_tol)
-    return [row for case, rows in zip(cases, per_case) for row in _run_case(case, rows)]
+    per_case = checker([payload for payload, _ in cases], default_tol if tol is None else tol,
+                       tangle_tol)
+    return [row for (_, desc), rows in zip(cases, per_case) for row in _run_case(rel, desc, rows)]
 
 
 def check(
@@ -488,19 +451,61 @@ def check(
     except ValueError as exc:
         raise IncompatibleInput(f"unknown relation {brief(relation)}") from exc
     tol = None if tol is None else _tolerance(tol, "tol", IncompatibleInput)
-    return _run_group([(rel, payload, _describe_payload(rel, payload), tol, None)])
+    return _run_group(rel, [_admit(rel, payload)], tol, None)
 
 
-def _describe_payload(rel: RelationId, payload) -> str:
-    if isinstance(payload, PureState):
-        return f"pure n={payload.num_sites}"
-    if isinstance(payload, Ensemble):
-        return f"ensemble n={payload.num_sites} rank={len(payload.states)}"
-    if isinstance(payload, FamilyParams):
-        return payload.describe()
-    if isinstance(payload, tuple) and rel is RelationId.R3:
-        return "ghz_noise n={} t={:.6g}".format(*_ghz_noise_args(payload))
-    return rel.value
+def _num_sites(what: str, n) -> int:
+    """A payload's qubit count: IncompatibleInput unless it is an integer,
+    OutOfRange above SUITE_MAX_SITES, before any state is built."""
+    return _integer(_integer(n, what, error=IncompatibleInput), what, hi=SUITE_MAX_SITES)
+
+
+# relation -> the pair its check() payload must be, where it is a tuple
+_PAIRS = {"R3": "(n, t)", "R8": "('w_kme', n) or ('w_two_tangle', coeffs)",
+          "R9": "(PureState, side_a)"}
+
+
+def _admit(rel: RelationId, payload) -> tuple:
+    """The (payload, descriptor) case of a check() payload, its numbers as
+    Python numbers.  IncompatibleInput unless the payload has the kind and
+    shape its relation takes; OutOfRange for a state or n of more than
+    SUITE_MAX_SITES qubits, before any state is built."""
+    if rel.value in _PAIRS and not (isinstance(payload, tuple) and len(payload) == 2):
+        raise IncompatibleInput(f"{rel.value} payload must be {_PAIRS[rel.value]}")
+    if rel is RelationId.R2:
+        if not isinstance(payload, Ensemble):
+            raise IncompatibleInput("R2 expects an Ensemble")
+        n = _num_sites("R2 qubit count", payload.num_sites)
+        return payload, f"ensemble n={n} rank={len(payload.states)}"
+    if rel is RelationId.R3:
+        n, t = _num_sites("R3 n", payload[0]), _real(payload[1], "R3 t", error=IncompatibleInput)
+        return (n, t), f"ghz_noise n={n} t={t:.6g}"
+    if rel is RelationId.R7:
+        if not isinstance(payload, FamilyParams):
+            raise IncompatibleInput("R7 expects FamilyParams")
+        return payload, payload.describe()
+    if rel is RelationId.R8:
+        kind, arg = payload
+        if not (isinstance(kind, str) and kind in ("w_kme", "w_two_tangle")):
+            raise IncompatibleInput(f"unknown R8 payload kind {brief(kind)}")
+        if kind == "w_kme":
+            return (kind, _num_sites("R8 n", arg)), rel.value
+        coeffs = _complex_array(arg, "R8 coeffs", IncompatibleInput).ravel()
+        _num_sites("R8 coefficient count", coeffs.size)
+        return (kind, coeffs), rel.value
+    if rel is RelationId.R9:
+        n = _num_sites("R9 qubit count", _pure(payload[0]).num_sites)
+        try:
+            side = tuple(_integer(s, "R9 site", 0, n - 1, IncompatibleInput) for s in payload[1])
+        except TypeError as exc:
+            raise IncompatibleInput("R9 side_a must be a list of site indices") from exc
+        return (payload[0], side), rel.value
+    # R1 takes a pure state of up to SUITE_MAX_SITES qubits, R4 and R5 one of 3, R6 one of 4
+    n = _pure(payload).num_sites
+    want = {RelationId.R4: 3, RelationId.R5: 3, RelationId.R6: 4}.get(rel, n)
+    if n != want:
+        raise IncompatibleInput(f"expected {want} sites, got {n}")
+    return payload, f"pure n={_num_sites(f'{rel.value} qubit count', n)}"
 
 
 # ---------------------------------------------------------------------------
@@ -635,17 +640,9 @@ class SuiteConfig:
         return cls(**payload)
 
 
-def _suite_cases(config: SuiteConfig):
-    """(relation, payload, descriptor, tol, tangle_tol) tuples in order,
-    each case and its state built only when it is asked for."""
-    for name, spec in sorted(config.relations.items()):
-        rel = RelationId(name)
-        for payload, desc in _relation_cases(rel, spec, config.seed):
-            yield rel, payload, desc, spec["tolerance"], spec.get("tangle_tolerance")
-
-
 def _relation_cases(rel: RelationId, spec: dict, base: int):
-    """(payload, descriptor) pairs of one relation's cases under seed `base`."""
+    """(payload, descriptor) pairs of one relation's cases under seed `base`,
+    each case and its state built only when it is asked for."""
     def seed_for(rel_no: int, i: int) -> int:
         return base * 1_000_003 + rel_no * 4099 + i
 
@@ -791,10 +788,7 @@ class SuiteReport:
             [
                 r.relation.value,
                 r.state_descriptor,
-                format(r.lhs, ".17g"),
-                format(r.rhs, ".17g"),
-                format(r.residual, ".17g"),
-                format(r.tolerance, ".17g"),
+                *(format(x, CSV_PRECISION) for x in (r.lhs, r.rhs, r.residual, r.tolerance)),
                 r.verdict,
                 r.condition_note,
             ]
@@ -811,8 +805,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     identical configs.
     """
     results = []
-    for _, cases in itertools.groupby(_suite_cases(config), key=lambda case: case[0]):
+    for name in sorted(config.relations):
+        rel, spec = RelationId(name), config.relations[name]
+        cases = _relation_cases(rel, spec, config.seed)
         while group := list(itertools.islice(cases, SUITE_GROUP_CASES)):
-            results += _run_group(group)
+            results += _run_group(rel, group, spec["tolerance"], spec.get("tangle_tolerance"))
     results.sort(key=lambda r: (r.relation.value, r.state_descriptor))
     return SuiteReport(tuple(results))

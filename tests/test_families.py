@@ -66,6 +66,8 @@ class TestBasicConstructors:
             w(1)
         with pytest.raises(ZeroVector):
             w_class([0, 0, 0])
+        with pytest.raises(OutOfRange):  # 2^15 amplitudes: over the 14-qubit cap
+            w_class(np.ones(15))
 
 
 class TestGhzNoise:

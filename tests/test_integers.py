@@ -58,8 +58,8 @@ NON_INTEGERS = {"bool": True, "float": 2.5, "str": "2", "None": None}
 BAD = {**NON_INTEGERS, "huge": 10**35}
 
 # entry point -> (call of one integer argument, a valid value, the error, the bad values)
-# ghz, w and ghz_noise have no upper bound, so no huge n is passed to them:
-# a valid one would allocate 2^n or 4^n entries
+# ghz, w and ghz_noise cap n at 14, as the GHZ + noise and W closed forms do,
+# so a huge n is refused before 2^n or 4^n entries are allocated
 TABLE = {
     "sites_tuple": (lambda v: sites_tuple(v, 3), 1, IndexOutOfRange, BAD),
     "sites_tuple set": (lambda v: sites_tuple([0, v], 3), 2, IndexOutOfRange, BAD),
@@ -77,13 +77,13 @@ TABLE = {
     "k_partitions n": (lambda v: k_partitions(v, 2), 4, OutOfRange, BAD),
     "k_partitions k": (lambda v: k_partitions(4, v), 2, OutOfRange, BAD),
     "Partition site": (lambda v: Partition(((0,), (v,))), 1, IndexOutOfRange, NON_INTEGERS),
-    "ghz n": (ghz, 3, OutOfRange, NON_INTEGERS),
-    "w n": (w, 3, OutOfRange, NON_INTEGERS),
-    "ghz_noise n": (lambda v: ghz_noise(v, 0.5), 3, OutOfRange, NON_INTEGERS),
+    "ghz n": (ghz, 3, OutOfRange, BAD),
+    "w n": (w, 3, OutOfRange, BAD),
+    "ghz_noise n": (lambda v: ghz_noise(v, 0.5), 3, OutOfRange, BAD),
     "ghz_noise_threshold n": (ghz_noise_threshold, 3, OutOfRange, BAD),
     "ghz_noise_negativity n": (lambda v: ghz_noise_negativity(v, 0.5), 3, OutOfRange, BAD),
     "ghz_noise_nme_exact n": (lambda v: ghz_noise_nme_exact(v, 0.9), 3, OutOfRange, BAD),
-    "w_kme_closed_form n": (lambda v: w_kme_closed_form(v, 2), 4, OutOfRange, NON_INTEGERS),
+    "w_kme_closed_form n": (lambda v: w_kme_closed_form(v, 2), 4, OutOfRange, BAD),
     "w_kme_closed_form k": (lambda v: w_kme_closed_form(4, v), 3, OutOfRange, BAD),
     "w_two_tangle i": (lambda v: w_two_tangle(COEFFS, v, 3), 1, OutOfRange, BAD),
     "w_two_tangle j": (lambda v: w_two_tangle(COEFFS, 1, v), 2, OutOfRange, BAD),

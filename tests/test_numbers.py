@@ -1,9 +1,10 @@
 """Every real and complex argument in qent passes one check in errors.py:
 _real (a visibility t, a tolerance, a weight, an R7 grid value),
 _complex (a family parameter) or _complex_array (amplitudes, matrix
-entries, a local unitary, W-class coefficients).  Each takes a Python or
-numpy number, never a bool, string or None, and never NaN or Inf; a real
-argument refuses a complex number too.  Anything else raises the entry
+entries, a local unitary, W-class coefficients, the raw matrix of purity
+and hermitian_eigenvalues).  Each takes a Python or numpy number, never
+a bool (not even among numbers in a list), string or None, and never NaN
+or Inf; a real argument refuses a complex number too.  Anything else raises the entry
 point's QentError subclass with a short message, and a numpy number
 gives exactly the result of the equal Python number.  No module but
 errors.py imports numbers or cmath or tests for a float or complex type.
@@ -30,7 +31,9 @@ from qent import (
     ghz_noise,
     ghz_noise_negativity,
     ghz_noise_nme_exact,
+    hermitian_eigenvalues,
     make_pure,
+    purity,
     random_pure,
     run_suite,
     w_class,
@@ -73,9 +76,15 @@ TABLE = {
     "FamilyParams d": (lambda v: family_closed_forms(FamilyParams(1, 1, 0, 0, v)), 0.5j,
                        OutOfRange, BAD),
     "PureState amplitudes": (lambda v: PureState([v, v], 1), 0.5**0.5, InputError, BAD),
+    "PureState amplitude beside a number": (lambda v: PureState([v, 0], 1), 1.0, InputError,
+                                            BAD),
     "DensityMatrix entries": (lambda v: DensityMatrix([[v, v], [v, v]], 1), 0.5, InputError,
                               BAD),
     "make_pure amplitudes": (lambda v: make_pure([v, v], 1), 1j, InputError, BAD),
+    "make_pure amplitude beside a number": (lambda v: make_pure([1, v], 1), 1j, InputError, BAD),
+    "purity matrix": (lambda v: purity([[v, 0], [0, v]]), 0.5, InputError, BAD),
+    "hermitian_eigenvalues matrix": (lambda v: hermitian_eigenvalues([[v, 0], [0, v]]), 0.5,
+                                     InputError, BAD),
     "apply_local_unitary u": (lambda v: apply_local_unitary(PSI2, 0, np.diag([v, v])), 1j,
                               InputError, BAD),
     "w_class coefficients": (lambda v: w_class([v, v, v]), 2.0, InputError, BAD),

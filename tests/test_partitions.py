@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from oracles import bell_number, k_partitions_brute, stirling2
 
@@ -54,6 +56,15 @@ class TestKPartitions:
             k_partitions(4, 5)
         with pytest.raises(OutOfRange):
             k_partitions(15, 2)
+
+    def test_sizes_that_cannot_finish_refused_at_once(self):
+        """S(14, 7) = 49,329,280 partitions would take about half an hour."""
+        start = time.perf_counter()
+        for n, k in [(14, 7), (11, 2), (11, 1)]:
+            with pytest.raises(OutOfRange):
+                k_partitions(n, k)
+        assert time.perf_counter() - start < 0.1
+        assert len(k_partitions(10, 2)) == 2**9 - 1
 
 
 class TestBipartitions:

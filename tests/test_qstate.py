@@ -227,6 +227,13 @@ class TestHermitianEigen:
         with pytest.raises(NotHermitian):
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("m", [[[1, 2, 3]], [1, 0], [[[1.0]]]], ids=["1x3", "vector", "3d"])
+    def test_raw_matrix_must_be_square(self, m):
+        with pytest.raises(DimensionMismatch):
+            hermitian_eigenvalues(m)
+        with pytest.raises(DimensionMismatch):
+            purity(m)
+
     def test_eigensum_is_trace_and_reconstruction(self, rng):
         for dim in (2, 4, 8):
             z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -35,6 +36,7 @@ from qent import (
 from qent import verify
 from qent.measures import FACTORED_RANK_RATIO, transposed_profile
 from qent.qstate import density_factor
+from test_integers import _name
 
 # sha256 of run_suite(SuiteConfig.default(7)).to_csv(), the bytes of
 # `qent verify --default --seed 7 --csv`
@@ -280,7 +282,8 @@ class TestRunSuite:
         config = SuiteConfig(relations={"R2": {"sizes": [2] * 10, "ranks": [2] * 10,
                                                "samples": 1000}})
         start = time.perf_counter()
-        rel, payload, desc, _, _ = next(verify._suite_cases(config))
+        rel = RelationId.R2
+        payload, desc = next(verify._relation_cases(rel, config.relations[rel], config.seed))
         assert time.perf_counter() - start < 0.2
         assert (rel, desc) == (RelationId.R2, "ghz_noise ensemble n=3 t=0.6")
 
@@ -371,10 +374,15 @@ class TestSuiteGroups:
             "R8": {"sizes": [3, 7], "samples": 4},
             "R9": {"samples": 2},
         })
-        assert sum(1 for case in verify._suite_cases(config) if case[0] == "R1") > 2 * 64
+        suite_cases = [
+            (rel, payload, desc, config.relations[rel]["tolerance"], None)
+            for rel in map(RelationId, sorted(config.relations))
+            for payload, desc in verify._relation_cases(rel, config.relations[rel], config.seed)
+        ]
+        assert sum(1 for case in suite_cases if case[0] == "R1") > 2 * 64
         alone = []
-        for rel, payload, desc, tol, _ in verify._suite_cases(config):
-            prefix = verify._describe_payload(rel, payload)
+        for rel, payload, desc, tol, _ in suite_cases:
+            prefix = verify._admit(rel, payload)[1]
             for row in check(rel, payload, tol):
                 label = row.state_descriptor[len(prefix):]
                 alone.append(dataclasses.replace(row, state_descriptor=desc + label))
@@ -461,6 +469,7 @@ class TestCheckRefusesWithQentError:
         ("R8", ("w_kme", 40), OutOfRange),
         ("R8", ("w_two_tangle", np.ones(40)), OutOfRange),
         ("R8", ("w_two_tangle", "abc"), IncompatibleInput),
+        ("R8", (np.array([1, 2]), 3), IncompatibleInput),
         ("R9", (make_pure([1, 0, 0, 1], 2), 0), IncompatibleInput),
         ("R9", (make_pure([1, 0, 0, 1], 2), ("a",)), IncompatibleInput),
     ])
@@ -480,9 +489,64 @@ class TestCheckRefusesWithQentError:
         with pytest.raises(IncompatibleInput):
             check("R1", random_pure(2, 1), tol)
 
+    NINE_QUBITS = make_pure(np.ones(2**9), 9)
+
+    @pytest.mark.parametrize("relation,payload", [
+        ("R1", NINE_QUBITS),
+        ("R2", Ensemble((1.0,), (NINE_QUBITS,))),
+        ("R9", (NINE_QUBITS, (0,))),
+    ], ids=["R1-state", "R2-ensemble", "R9-state"])
+    def test_state_over_the_site_cap(self, relation, payload):
+        """Refused at once: R1 on a 10-qubit state would run for seconds,
+        and R9 would build a 4^n-entry projector."""
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange):
+            check(relation, payload)
+        assert time.perf_counter() - start < 0.1
+
     def test_payloads_at_the_site_cap_still_run(self):
         assert len(check("R3", (8, 0.5))) == 9
         assert len(check("R8", ("w_kme", 8))) == 7
+        assert len(check("R1", random_pure(8, 1))) == 1
+        assert len(check("R2", random_ensemble(8, 2, 1))) == 1
+        assert len(check("R9", (verify._random_rank2(4, 4, 1), (0, 1, 2, 3)))) == 1
+
+
+# calls that check a payload's kind, shape or numbers: _admit's work alone
+PAYLOAD_CHECKS = {"_pure", "_integer", "_complex_array", "_num_sites", "isinstance"}
+
+
+def _payload_checks(source: str) -> dict[str, list[int]]:
+    """Each _check_r* function of `source`, with the lines on which it calls
+    one of PAYLOAD_CHECKS."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_r"):
+            found[node.name] = [
+                sub.lineno for sub in ast.walk(node)
+                if isinstance(sub, ast.Call) and _name(sub.func) in PAYLOAD_CHECKS
+            ]
+    return found
+
+
+def test_checkers_only_compute():
+    """Payload rules live in verify._admit; no checker repeats them."""
+    found = _payload_checks(Path(verify.__file__).read_text(encoding="utf-8"))
+    assert sorted(found) == [f"_check_r{i}" for i in range(1, 10)]
+    assert not any(found.values()), found
+
+
+@pytest.mark.parametrize("snippet,lines", [
+    ("def _check_r1(p, tol, t):\n    return _pure(p)", [2]),
+    ("def _check_r2(p, tol, t):\n    if isinstance(p, tuple):\n        return p", [2]),
+    ("def _check_r8(p, tol, t):\n    return errors._complex_array(p, 'c', E)", [2]),
+    ("def _check_r9(p, tol, t):\n    return [_integer(s, 's') for s in p]", [2]),
+    ("def _check_r3(p, tol, t):\n    def inner(n):\n        return _num_sites('n', n)", [3]),
+    ("def _check_r3(p, tol, t):\n    n, t = p\n    return n", []),
+])
+def test_payload_check_finder(snippet, lines):
+    assert list(_payload_checks(snippet).values()) == [lines]
+    assert _payload_checks(snippet.replace("_check_r", "_admit_")) == {}
 
 
 class TestSuiteCountCaps:
