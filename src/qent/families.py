@@ -20,8 +20,7 @@ import numpy as np
 from .errors import (InputError, OutOfDomain, OutOfRange, ZeroVector, _complex, _complex_array,
                      _integer, _real)
 from .measures import MAX_SITES
-from .qstate import (DensityMatrix, PureState, _normalized, _trusted_density, clamped_sqrt,
-                     make_pure)
+from .qstate import DensityMatrix, PureState, _normalized, _trusted, clamped_sqrt, make_pure
 
 FAMILY_LABELS = {
     1: "G_abcd",
@@ -137,7 +136,7 @@ def ghz_noise(n: int, t: float) -> DensityMatrix:
     t = _real(t, "ghz_noise t", 0, 1)
     g = ghz(n).amplitudes
     m = (1.0 - t) / 2**n * np.eye(2**n) + t * np.outer(g, g.conj())
-    return _trusted_density(m, n)
+    return _trusted(DensityMatrix, m, n)
 
 
 def ghz_noise_threshold(n: int) -> float:

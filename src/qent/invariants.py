@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .qstate import PureState, _pure, clamped_sqrt, purity, reduced_density_pure
+from .errors import DimensionMismatch, InputError, _real, brief
+from .qstate import PureState, _pure, _purity, _reduced_density_pure, _trusted, clamped_sqrt
 
 # 3-partitions of A,B,C,D as (site, site, complement-pair purity index into i4)
 _C3_COMBOS_4Q = ((3, 2, 6), (3, 1, 5), (3, 0, 4), (2, 1, 4), (2, 0, 5), (1, 0, 6))
@@ -29,8 +29,7 @@ class Invariants3:
     i4: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if len(self.i4) != 4:
-            raise ValueError("Invariants3.i4 must have four entries")
+        _check_fields(self, 4)
 
 
 @dataclass(frozen=True)
@@ -42,12 +41,22 @@ class Invariants4:
     i4: tuple[float, float, float, float, float, float, float]
 
     def __post_init__(self):
-        if len(self.i4) != 7:
-            raise ValueError("Invariants4.i4 must have seven entries")
+        _check_fields(self, 7)
+
+
+def _check_fields(inv, count: int) -> None:
+    """Keep inv.i2 and inv.i4 as Python floats; InputError unless i2 is a
+    finite real number > 0 and i4 a list or tuple of `count` of them."""
+    if not (isinstance(inv.i4, (list, tuple)) and len(inv.i4) == count):
+        raise InputError(f"{type(inv).__name__}.i4 must be {count} numbers, got {brief(inv.i4)}")
+    if (i2 := _real(inv.i2, "i2", error=InputError)) <= 0:
+        raise InputError(f"i2 must be positive, got {i2:.6g}")
+    object.__setattr__(inv, "i2", i2)
+    object.__setattr__(inv, "i4", tuple(_real(v, "i4 entry", error=InputError) for v in inv.i4))
 
 
 def _site_purity(psi: PureState, sites: tuple[int, ...]) -> float:
-    return purity(reduced_density_pure(psi, sites))
+    return _purity(_reduced_density_pure(psi, sites))
 
 
 def invariants3(psi: PureState) -> Invariants3:
@@ -55,15 +64,7 @@ def invariants3(psi: PureState) -> Invariants3:
     if _pure(psi).num_sites != 3:
         raise DimensionMismatch(f"need a three-qubit state, got {psi.num_sites} sites")
     i2 = float(np.real(np.vdot(psi.amplitudes, psi.amplitudes)))
-    return Invariants3(
-        i2=i2,
-        i4=(
-            i2 * i2,
-            _site_purity(psi, (0,)),
-            _site_purity(psi, (1,)),
-            _site_purity(psi, (2,)),
-        ),
-    )
+    return _trusted(Invariants3, i2, (i2 * i2, *(_site_purity(psi, (p,)) for p in range(3))))
 
 
 def tangles_from_invariants3(
@@ -77,7 +78,7 @@ def tangles_from_invariants3(
     and cyclic sign patterns for tau_AC, tau_BC.
     """
     _, pa, pb, pc = inv.i4
-    half = tau_abc / 2.0
+    half = _real(tau_abc, "tau_abc", error=InputError) / 2.0
     return (
         1.0 - pa - pb + pc - half,
         1.0 - pa + pb - pc - half,
@@ -107,18 +108,8 @@ def invariants4(psi: PureState) -> Invariants4:
     if _pure(psi).num_sites != 4:
         raise DimensionMismatch(f"need a four-qubit state, got {psi.num_sites} sites")
     i2 = float(np.real(np.vdot(psi.amplitudes, psi.amplitudes)))
-    return Invariants4(
-        i2=i2,
-        i4=(
-            _site_purity(psi, (3,)),
-            _site_purity(psi, (2,)),
-            _site_purity(psi, (1,)),
-            _site_purity(psi, (0,)),
-            _site_purity(psi, (0, 3)),
-            _site_purity(psi, (1, 3)),
-            _site_purity(psi, (2, 3)),
-        ),
-    )
+    sites = ((3,), (2,), (1,), (0,), (0, 3), (1, 3), (2, 3))
+    return _trusted(Invariants4, i2, tuple(_site_purity(psi, s) for s in sites))
 
 
 def kme_from_invariants4(inv: Invariants4) -> tuple[float, float, float]:

@@ -49,9 +49,10 @@ from .qstate import (
     _density,
     _first_kept,
     _pure,
+    _reduced_density_pure,
+    _trusted,
     density_factor,
     partial_transpose,
-    reduced_density_pure,
     schmidt_weights,
 )
 
@@ -367,10 +368,8 @@ def _kme_minima(tables: np.ndarray, n: int, k: int) -> list[tuple[float, Partiti
         nested.append(entropy[rows, step[:, None]])
         group = nxt[step]
     masks = np.array(chosen + [rest[step]]).T.tolist()
-    return [
-        (float(v), Partition(tuple(tuple(i for i in range(n) if b >> i & 1) for b in row)))
-        for v, row in zip(value, masks)
-    ]
+    blocks = [tuple(tuple(i for i in range(n) if b >> i & 1) for b in row) for row in masks]
+    return [(float(v), _trusted(Partition, b)) for v, b in zip(value, blocks)]
 
 
 def kme_concurrence_stack(states, k: int) -> tuple[MeasureReport, ...]:
@@ -433,9 +432,11 @@ def nme_lower_bound(state: Union[PureState, DensityMatrix]) -> float:
 
 def one_tangle(psi: PureState, site: int) -> float:
     """4 det(rho_site): squared concurrence of one site against the rest."""
-    site = _integer(site, "site", 0, _pure(psi).num_sites - 1, IndexOutOfRange)
-    red = reduced_density_pure(psi, site)
-    return float(np.real(np.linalg.det(red)) * 4.0)
+    return _one_tangle(psi, _integer(site, "site", 0, _pure(psi).num_sites - 1, IndexOutOfRange))
+
+
+def _one_tangle(psi: PureState, site: int) -> float:
+    return float(np.real(np.linalg.det(_reduced_density_pure(psi, (site,)))) * 4.0)
 
 
 def _wootters(m: np.ndarray) -> float:
@@ -479,15 +480,15 @@ def two_tangle(rho: Union[PureState, DensityMatrix]) -> float:
 
 def _pair_tangle(psi: PureState, pair: tuple[int, int]) -> float:
     """Two-tangle of the reduction of psi to a pair of sites."""
-    return _wootters(reduced_density_pure(psi, pair)) ** 2
+    return _wootters(_reduced_density_pure(psi, pair)) ** 2
 
 
 def three_tangle_raw(psi: PureState) -> float:
     """Residual tripartite tangle before clamping:
     4 det(rho_A) - tau(rho_AB) - tau(rho_AC) with A = site 0."""
-    if psi.num_sites != 3:
+    if _pure(psi).num_sites != 3:
         raise DimensionMismatch(f"need a three-qubit state, got {psi.num_sites} sites")
-    return one_tangle(psi, 0) - _pair_tangle(psi, (0, 1)) - _pair_tangle(psi, (0, 2))
+    return _one_tangle(psi, 0) - _pair_tangle(psi, (0, 1)) - _pair_tangle(psi, (0, 2))
 
 
 def three_tangle(psi: PureState) -> float:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import IndexOutOfRange, _integer, brief
+from .qstate import _trusted
 
 # largest n that k_partitions enumerates: S(10, 5) = 42,525 partitions take
 # about 1.3 s, and the largest S(n, k) grows about sixfold per site
@@ -25,9 +26,7 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(
-            tuple(_integer(s, "site", 0, error=IndexOutOfRange) for s in b) for b in self.blocks
-        )
+        blocks = _site_blocks(self.blocks)
         object.__setattr__(self, "blocks", blocks)
         # non-empty ascending blocks in order, holding each of 0..n-1 once
         sites = sorted(s for b in blocks for s in b)
@@ -42,19 +41,26 @@ class Partition:
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "Partition":
         """Canonicalize arbitrary block order into a Partition."""
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        return cls(canon)
+        return cls(tuple(sorted(tuple(sorted(b)) for b in _site_blocks(blocks))))
 
     def __str__(self) -> str:
         sep = "," if self.num_sites > 10 else ""
         return "|".join(sep.join(str(s) for s in b) for b in self.blocks)
 
 
+def _site_blocks(value) -> tuple[tuple[int, ...], ...]:
+    """value as tuples of Python ints; IndexOutOfRange unless its blocks hold site indices."""
+    try:
+        return tuple(tuple(_integer(s, "site", 0, error=IndexOutOfRange) for s in b) for b in value)
+    except TypeError as exc:  # value, or one of its blocks, is not a collection
+        raise IndexOutOfRange(f"blocks must be lists of site indices, got {brief(value)}") from exc
+
+
 def _rgs_blocks(labels: list[int], k: int) -> Partition:
     blocks: list[list[int]] = [[] for _ in range(k)]
     for site, lab in enumerate(labels):
         blocks[lab].append(site)
-    return Partition(tuple(tuple(b) for b in blocks))
+    return _trusted(Partition, tuple(tuple(b) for b in blocks))
 
 
 def _iter_rgs(n: int, k: int) -> Iterator[Partition]:

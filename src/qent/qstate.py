@@ -11,14 +11,14 @@ is safe.
 
 States are validated once, where they enter qent: the PureState and
 DensityMatrix constructors, and so state_from_json, check what they are
-given.  Density matrices that qent builds from states it already holds
-(density_of, partial_trace, families.ghz_noise, verify.Ensemble.density)
-come from _trusted_density and skip the checks.  A site index and a
-constructor's num_sites pass errors._integer, as every integer argument
-in qent does: an int or numpy integer, never a bool or a float, kept as
-a Python int.  Amplitudes, matrix entries, local unitaries and the raw
-matrices that purity and hermitian_eigenvalues take pass
-errors._complex_array: finite numbers, kept as a read-only complex copy.
+given.  What qent builds out of values it has checked comes from
+_trusted, unchecked, and a public function checks its arguments before
+it calls a private kernel, which qent's own callers call.  A site index
+and a constructor's num_sites pass errors._integer: an int or numpy
+integer, never a bool or a float, kept as a Python int.  Amplitudes,
+matrix entries, local unitaries and the raw matrices that purity and
+hermitian_eigenvalues take pass errors._complex_array: finite numbers,
+kept as a read-only complex copy.
 
 Functions of a pure state take it through the private gate _pure, and
 functions of a density matrix through _density, which builds
@@ -51,6 +51,7 @@ from .errors import (
     InputError,
     NotHermitian,
     NotUnitary,
+    OutOfDomain,
     ZeroVector,
     _complex_array,
     _integer,
@@ -68,7 +69,7 @@ def clamped_sqrt(x: float) -> float:
     """sqrt with tiny negative rounding dust (>= -1e-12) clamped to 0."""
     if x < 0.0:
         if x < SQRT_CLAMP_FLOOR:
-            raise ValueError(f"sqrt argument {x} below clamp floor {SQRT_CLAMP_FLOOR}")
+            raise OutOfDomain(f"sqrt argument {x:.6g} below clamp floor {SQRT_CLAMP_FLOOR}")
         return 0.0
     return float(np.sqrt(x))
 
@@ -177,8 +178,8 @@ def make_pure(amplitudes: Sequence[complex], num_sites: int) -> PureState:
     below 1e-12.
     """
     amps = _complex_array(amplitudes, "amplitudes", InputError).ravel()
-    _check_qubit_shape("vector", amps.shape, 1, num_sites)
-    return PureState(_normalized(amps, "vector"), num_sites)
+    n = _check_qubit_shape("vector", amps.shape, 1, num_sites)
+    return _trusted(PureState, _normalized(amps, "vector"), n)
 
 
 def _normalized(v: np.ndarray, what: str) -> np.ndarray:
@@ -195,16 +196,16 @@ def _normalized(v: np.ndarray, what: str) -> np.ndarray:
     return v / norm
 
 
-def _trusted_density(entries: np.ndarray, num_sites: int, **memo) -> DensityMatrix:
-    """A DensityMatrix of a 2^n x 2^n complex matrix that qent built as
-    one from states it holds, without validation's checks; `entries`
-    must not be written afterwards.  The keyword arguments seed its memo."""
-    rho = object.__new__(DensityMatrix)
-    entries.setflags(write=False)
-    object.__setattr__(rho, "entries", entries)
-    object.__setattr__(rho, "num_sites", num_sites)
-    object.__setattr__(rho, "_memo", memo)
-    return rho
+def _trusted(cls, *values, **memo):
+    """A cls (a state, Partition or Invariants dataclass) of field values
+    qent built out of checked ones, without __post_init__'s checks.  Its
+    arrays become read-only, and the keyword arguments fill a state's memo."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, (*values, memo)):  # memo fills _memo, if any
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _pure(state) -> PureState:
@@ -228,7 +229,7 @@ def density_of(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi| as a DensityMatrix, with psi (one
     column) memoized as its factor."""
     amps = _pure(psi).amplitudes
-    return _trusted_density(np.outer(amps, amps.conj()), psi.num_sites, factor=amps[:, None])
+    return _trusted(DensityMatrix, np.outer(amps, amps.conj()), psi.num_sites, factor=amps[:, None])
 
 
 def _first_kept(d: np.ndarray) -> int:
@@ -287,23 +288,25 @@ def partial_trace(
         t = np.trace(t, axis1=site, axis2=site + remaining)
         remaining -= 1
     dim = 2 ** len(keep_t)
-    return _trusted_density(t.reshape(dim, dim), len(keep_t))
+    return _trusted(DensityMatrix, t.reshape(dim, dim), len(keep_t))
 
 
 def reduced_density_pure(psi: PureState, keep: Union[int, Iterable[int]]) -> np.ndarray:
     """Reduced density matrix of a pure state, materialized from the
     amplitude tensor (fast path; agrees with partial_trace of the full
     projector to better than 1e-12)."""
-    m = _amplitude_matrix(psi, sites_tuple(keep, psi.num_sites))
+    return _reduced_density_pure(psi, sites_tuple(keep, _pure(psi).num_sites))
+
+
+def _reduced_density_pure(psi: PureState, keep: tuple[int, ...]) -> np.ndarray:
+    m = _amplitude_matrix(psi, keep)
     return m @ m.conj().T
 
 
 def _amplitude_matrix(psi: PureState, side_a: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes as a (2^|A|, 2^|Abar|) matrix, rows indexed by side A;
-    IncompatibleInput unless psi is a PureState."""
-    n = psi.num_sites
-    other = [s for s in range(n) if s not in side_a]
-    return _pure(psi).tensor().transpose(list(side_a) + other).reshape(2 ** len(side_a), -1)
+    """Amplitudes as a (2^|A|, 2^|Abar|) matrix, rows indexed by side A."""
+    other = [s for s in range(psi.num_sites) if s not in side_a]
+    return psi.tensor().transpose(list(side_a) + other).reshape(2 ** len(side_a), -1)
 
 
 def schmidt_weights(psi: PureState, side_a: Union[int, Iterable[int]]) -> np.ndarray:
@@ -312,7 +315,7 @@ def schmidt_weights(psi: PureState, side_a: Union[int, Iterable[int]]) -> np.nda
     Computed as squared singular values of the amplitude matrix, which
     keeps structurally-zero coefficients at exactly zero.
     """
-    n = psi.num_sites
+    n = _pure(psi).num_sites
     side = sites_tuple(side_a, n)
     if len(side) >= n:
         raise IndexOutOfRange("side A must be a proper subset of the sites")
@@ -361,7 +364,10 @@ def _square(m: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
 
 def purity(rho: Union[DensityMatrix, np.ndarray]) -> float:
     """Tr(rho^2), real, of a DensityMatrix or a square matrix of numbers."""
-    m = _square(rho)
+    return _purity(_square(rho))
+
+
+def _purity(m: np.ndarray) -> float:
     return float(np.real(np.einsum("ij,ji->", m, m)))
 
 
@@ -426,7 +432,7 @@ def state_from_json(text: str) -> Union[PureState, DensityMatrix]:
     """Parse the interchange JSON format, rejecting out-of-tolerance input."""
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+    except (TypeError, ValueError) as exc:  # not text, bad JSON, or an int of over 4300 digits
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "kind" not in payload:
         raise InputError("state JSON must be an object with a 'kind' field")

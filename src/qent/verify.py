@@ -86,7 +86,7 @@ from .qstate import (
     DensityMatrix,
     PureState,
     _pure,
-    _trusted_density,
+    _trusted,
     clamped_sqrt,
     hermitian_eigenvalues,
     partial_transpose_sites,
@@ -181,7 +181,7 @@ class Ensemble:
         m = np.zeros((2**n, 2**n), dtype=complex)
         for p, psi in zip(self.weights, self.states):
             m += p * np.outer(psi.amplitudes, psi.amplitudes.conj())
-        return _trusted_density(m, n)
+        return _trusted(DensityMatrix, m, n)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -189,12 +189,20 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(_integer(seed, "seed", 0))
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex array of `shape` with standard normal real then imaginary parts."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _unit_state(v: np.ndarray, n: int) -> PureState:
+    """The PureState of v / ||v|| for a nonzero complex vector v that qent drew."""
+    return _trusted(PureState, v / np.linalg.norm(v), n)
+
+
 def random_pure(n: int, seed: int) -> PureState:
     """Haar-like random pure state from a seeded complex-normal vector."""
     n = _integer(n, "n", 1, SUITE_MAX_SITES)
-    rng = _rng(seed)
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return PureState(v / np.linalg.norm(v), n)
+    return _unit_state(_complex_normal(_rng(seed), 2**n), n)
 
 
 def random_ensemble(n: int, rank: int, seed: int) -> Ensemble:
@@ -203,12 +211,8 @@ def random_ensemble(n: int, rank: int, seed: int) -> Ensemble:
     n = _integer(n, "n", 1, SUITE_MAX_SITES)
     rank = _integer(rank, "rank", 1, 2**n)
     rng = _rng(seed)
-    states = []
-    for _ in range(rank):
-        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        states.append(PureState(v / np.linalg.norm(v), n))
-    weights = rng.dirichlet(np.ones(rank))
-    return Ensemble(tuple(weights), tuple(states))
+    states = tuple(_unit_state(_complex_normal(rng, 2**n), n) for _ in range(rank))
+    return Ensemble(tuple(rng.dirichlet(np.ones(rank))), states)
 
 
 def random_mixed(n: int, rank: int, seed: int) -> DensityMatrix:
@@ -218,9 +222,7 @@ def random_mixed(n: int, rank: int, seed: int) -> DensityMatrix:
 
 def random_local_unitary(seed: int) -> np.ndarray:
     """Haar-random 2x2 unitary (QR of a complex-normal matrix)."""
-    rng = _rng(seed)
-    z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_complex_normal(_rng(seed), (2, 2)) / np.sqrt(2.0))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
@@ -630,7 +632,7 @@ class SuiteConfig:
     def from_json(cls, text: str) -> "SuiteConfig":
         try:
             payload = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+        except (TypeError, ValueError) as exc:  # not text, bad JSON, or an int of over 4300 digits
             raise ConfigError(f"invalid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError("suite config must be a JSON object")
@@ -655,7 +657,7 @@ def _relation_cases(rel: RelationId, spec: dict, base: int):
     elif rel is RelationId.R2:
         gn, gt = 3, 0.6
         basis = np.eye(2**gn, dtype=complex)
-        states = [ghz(gn)] + [PureState(basis[z], gn) for z in range(2**gn)]
+        states = [ghz(gn)] + [_trusted(PureState, basis[z], gn) for z in range(2**gn)]
         weights = [gt] + [(1 - gt) / 2**gn] * 2**gn
         yield Ensemble(tuple(weights), tuple(states)), f"ghz_noise ensemble n={gn} t={gt}"
         for n in spec["sizes"]:
@@ -699,12 +701,11 @@ def _relation_cases(rel: RelationId, spec: dict, base: int):
         yield ("w_two_tangle", np.ones(3) / np.sqrt(3)), "uniform w n=3"
         for i in range(spec["samples"]):
             n = [3, 4, 5, 6][i % 4]
-            rng = np.random.default_rng(seed_for(8, i))
-            coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
+            coeffs = _complex_normal(np.random.default_rng(seed_for(8, i)), n)
             coeffs /= np.linalg.norm(coeffs)
             yield ("w_two_tangle", coeffs), f"random coeffs n={n} #{i:03d}"
     elif rel is RelationId.R9:
-        bell = PureState(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), 2)
+        bell = _trusted(PureState, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), 2)
         yield (bell, (0,)), "bell cut 1|1"
         for ci, (na, nb) in enumerate(spec["cuts"]):
             for i in range(spec["samples"]):
@@ -716,13 +717,13 @@ def _random_rank2(na: int, nb: int, seed: int) -> PureState:
     """Random pure state with Schmidt rank exactly 2 across the first na sites."""
     rng = np.random.default_rng(seed)
     da, db = 2**na, 2**nb
-    qa = np.linalg.qr(rng.normal(size=(da, 2)) + 1j * rng.normal(size=(da, 2)))[0]
-    qb = np.linalg.qr(rng.normal(size=(db, 2)) + 1j * rng.normal(size=(db, 2)))[0]
+    qa = np.linalg.qr(_complex_normal(rng, (da, 2)))[0]
+    qb = np.linalg.qr(_complex_normal(rng, (db, 2)))[0]
     lam = rng.uniform(0.05, 0.95)
     v = np.sqrt(lam) * np.kron(qa[:, 0], qb[:, 0]) + np.sqrt(1 - lam) * np.kron(
         qa[:, 1], qb[:, 1]
     )
-    return PureState(v / np.linalg.norm(v), na + nb)
+    return _unit_state(v, na + nb)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Every real and complex argument in qent passes one check in errors.py:
-_real (a visibility t, a tolerance, a weight, an R7 grid value),
+_real (a visibility t, a tolerance, a weight, an R7 grid value, an
+invariant, a three-tangle given to tangles_from_invariants3),
 _complex (a family parameter) or _complex_array (amplitudes, matrix
 entries, a local unitary, W-class coefficients, the raw matrix of purity
 and hermitian_eigenvalues).  Each takes a Python or numpy number, never
@@ -21,6 +22,8 @@ from qent import (
     FamilyParams,
     IncompatibleInput,
     InputError,
+    Invariants3,
+    Invariants4,
     OutOfDomain,
     OutOfRange,
     PureState,
@@ -32,16 +35,21 @@ from qent import (
     ghz_noise_negativity,
     ghz_noise_nme_exact,
     hermitian_eigenvalues,
+    kme_from_invariants3,
+    kme_from_invariants4,
     make_pure,
     purity,
     random_pure,
     run_suite,
+    tangles_from_invariants3,
     w_class,
     w_two_tangle,
 )
+from qent.qstate import clamped_sqrt
 from test_integers import SOURCES, _canon, _name
 
 PSI2 = random_pure(2, 1)
+INV3 = Invariants3(1.0, (1.0, 0.5, 0.5, 0.5))
 BAD = {"bool": True, "str": "0.5", "None": None, "nan": float("nan"), "inf": float("inf"),
        "huge": 10**400}
 NOT_REAL = {**BAD, "complex": 1j}
@@ -91,6 +99,16 @@ TABLE = {
     "w_two_tangle coefficients": (lambda v: w_two_tangle([v, v, v], 1, 2), 2.0, InputError, BAD),
     "check R8 coefficients": (lambda v: check("R8", ("w_two_tangle", [v, v, v])), 2.0,
                               IncompatibleInput, BAD),
+    "Invariants3 i2": (lambda v: kme_from_invariants3(Invariants3(v, INV3.i4)), 1.0, InputError,
+                       NOT_REAL),
+    "Invariants3 i4 entry": (lambda v: kme_from_invariants3(Invariants3(1.0, (1.0, v, 0.5, 0.5))),
+                             0.5, InputError, NOT_REAL),
+    "Invariants4 i2": (lambda v: kme_from_invariants4(Invariants4(v, (0.5,) * 7)), 1.0,
+                       InputError, NOT_REAL),
+    "Invariants4 i4 entry": (lambda v: kme_from_invariants4(Invariants4(1.0, (v,) + (0.5,) * 6)),
+                             0.5, InputError, NOT_REAL),
+    "tangles_from_invariants3 tau_abc": (lambda v: tangles_from_invariants3(INV3, v), 0.25,
+                                         InputError, NOT_REAL),
 }
 
 
@@ -120,6 +138,28 @@ def test_numpy_number_gives_the_python_result(call, valid):
 def test_an_amplitude_list_of_what_is_not_a_number_is_refused(entries):
     with pytest.raises(InputError):
         PureState(entries, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Invariants3(0.0, INV3.i4),
+    lambda: Invariants4(-1.0, (0.5,) * 7),
+    lambda: Invariants3(1.0, INV3.i4[:3]),
+    lambda: Invariants4(1.0, INV3.i4),
+    lambda: Invariants3(1.0, None),
+    lambda: Invariants3(1.0, "abcd"),
+], ids=["i2 zero", "i2 negative", "three i4", "four i4", "i4 None", "i4 str"])
+def test_invariants_need_a_positive_i2_and_their_count_of_i4(build):
+    with pytest.raises(InputError) as info:
+        build()
+    assert len(str(info.value)) < 80
+
+
+def test_sqrt_below_its_clamp_floor_is_out_of_domain():
+    assert clamped_sqrt(-1e-13) == 0.0
+    with pytest.raises(OutOfDomain):
+        clamped_sqrt(-1e-3)
+    with pytest.raises(OutOfDomain):
+        kme_from_invariants3(Invariants3(1.0, (1.0, 5, 5, 5)))
 
 
 def test_w_two_tangle_survives_an_overflowing_norm():

@@ -3,7 +3,7 @@ import time
 import pytest
 from oracles import bell_number, k_partitions_brute, stirling2
 
-from qent import OutOfRange, Partition, k_partitions
+from qent import IndexOutOfRange, OutOfRange, Partition, k_partitions
 
 
 class TestKPartitions:
@@ -88,3 +88,17 @@ class TestPartitionType:
 
     def test_str(self):
         assert str(Partition(((0, 2), (1,)))) == "02|1"
+
+    @pytest.mark.parametrize("build", [
+        lambda: Partition(None),
+        lambda: Partition(3),
+        lambda: Partition([1, 2]),
+        lambda: Partition(((0,), 1)),
+        lambda: Partition.from_blocks(None),
+        lambda: Partition.from_blocks([[1], 0]),
+        lambda: Partition.from_blocks([[]]),
+    ], ids=["None", "int", "ints", "int block", "from None", "from int block", "from empty"])
+    def test_what_is_not_blocks_of_sites_is_refused(self, build):
+        with pytest.raises(IndexOutOfRange) as info:
+            build()
+        assert len(str(info.value)) < 80

@@ -294,6 +294,11 @@ class TestStateJson:
         with pytest.raises(InputError):
             state_from_json(bad)
 
+    @pytest.mark.parametrize("text", [None, 3, ["{}"]], ids=["None", "int", "list"])
+    def test_rejects_what_is_not_text(self, text):
+        with pytest.raises(InputError, match="invalid JSON"):
+            state_from_json(text)
+
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
             state_from_json("not json at all")

@@ -1,7 +1,8 @@
 """Each public state-taking function takes the state kinds its measure is
 defined on and refuses the others with a QentError.
 
-Functions of a pure state refuse a density matrix with IncompatibleInput.
+Functions of a pure state refuse a density matrix, and anything that is
+not a state, with IncompatibleInput before they read any of its fields.
 Functions of a density matrix also take a pure state and return, bit for
 bit, their value for its projector density_of(psi); anything that is not
 a state is refused with IncompatibleInput.
@@ -74,6 +75,14 @@ def test_pure_state_function_refuses_a_density_matrix(name):
     with pytest.raises(IncompatibleInput):
         call(random_mixed(n, 2, 5))
     call(random_pure(n, 5))
+
+
+@pytest.mark.parametrize("name", sorted(PURE_ONLY))
+@pytest.mark.parametrize("other", [None, 3, "x"], ids=["None", "int", "str"])
+def test_pure_state_function_refuses_what_is_not_a_state(name, other):
+    """The state's kind is checked before any of its fields is read."""
+    with pytest.raises(IncompatibleInput):
+        PURE_ONLY[name][1](other)
 
 
 @pytest.mark.parametrize("name", sorted(DENSITY))

@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from qent import (
     FamilyParams,
     IncompatibleInput,
     OutOfRange,
+    Partition,
     PureState,
     RelationId,
     SuiteConfig,
@@ -33,10 +36,11 @@ from qent import (
     slocc_family,
 )
 
-from qent import verify
+from qent import qstate, verify
+from qent.cli import main
 from qent.measures import FACTORED_RANK_RATIO, transposed_profile
 from qent.qstate import density_factor
-from test_integers import _name
+from test_integers import SOURCES, _name
 
 # sha256 of run_suite(SuiteConfig.default(7)).to_csv(), the bytes of
 # `qent verify --default --seed 7 --csv`
@@ -179,6 +183,11 @@ class TestSuiteConfig:
             SuiteConfig.from_json('{"seed": "seven"}')
         with pytest.raises(ConfigError):
             SuiteConfig.from_json('{"unknown_top": 1}')
+
+    @pytest.mark.parametrize("text", [None, 3], ids=["None", "int"])
+    def test_from_json_refuses_what_is_not_text(self, text):
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            SuiteConfig.from_json(text)
 
     @pytest.mark.parametrize("seed", [-1, True, 7.0])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -423,24 +432,29 @@ class TestEnsembleType:
 
 
 class TestTrustBoundary:
-    """States are validated where they enter; the density matrices qent
-    builds from states it holds are not validated again."""
+    """Values are validated where they enter.  What qent builds out of
+    values it has checked comes from qstate._trusted and is not validated
+    again, and only _trusted makes an object without running its checks."""
 
     @pytest.fixture
     def validations(self, monkeypatch):
-        calls = []
-        validate = DensityMatrix.__post_init__
-        monkeypatch.setattr(
-            DensityMatrix, "__post_init__", lambda rho: calls.append(rho) or validate(rho)
-        )
-        DensityMatrix(np.eye(2, dtype=complex) / 2, 1)  # the counter is live
-        assert len(calls) == 1
-        calls.clear()
+        """The objects of each class whose checks ran, by class name."""
+        classes = (PureState, DensityMatrix, Partition)
+        calls = {cls.__name__: [] for cls in classes}
+        for cls in classes:
+            monkeypatch.setattr(cls, "__post_init__", lambda obj, check=cls.__post_init__: (
+                calls[type(obj).__name__].append(obj) or check(obj)))
+        PureState([1, 0], 1)
+        DensityMatrix(np.eye(2) / 2, 1)
+        Partition(((0,),))
+        assert [len(c) for c in calls.values()] == [1, 1, 1]  # the counters are live
+        for c in calls.values():
+            c.clear()
         return calls
 
-    def test_default_suite_validates_no_density_matrix(self, validations):
+    def test_default_suite_validates_nothing_it_built(self, validations):
         run_suite(SuiteConfig.default(seed=7))
-        assert validations == []
+        assert validations == {"PureState": [], "DensityMatrix": [], "Partition": []}
 
     @pytest.mark.parametrize("build,factored", [
         (lambda: random_mixed(6, 3, 17), True),  # rank 3: spectrum computed on first use
@@ -453,7 +467,56 @@ class TestTrustBoundary:
         got = negativity_profile(rho).per_site
         want = transposed_profile(rho).per_site
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
-        assert validations == []
+        assert not any(validations.values())
+
+    def test_what_it_builds_passes_the_full_checks(self, monkeypatch, tmp_path, capsys):
+        """With _trusted patched to run each built object's own checks too,
+        the default suite at seed 7 and `qent measure` on a family and on a
+        random file give the same output, and every object passes."""
+        family = ["measure", "--family", "6", "--a", "1+0.5j",
+                  "--measures", "kme,negativity,invariants4,one-tangle"]
+        random_file = ["measure", "--state", str(tmp_path / "psi.json"),
+                       "--measures", "kme,negativity,nme-bound,invariants4"]
+
+        def outputs():
+            csv_text = run_suite(SuiteConfig.default(seed=7)).to_csv()
+            assert main(["random", "--sites", "4", "--seed", "3", "--out", random_file[2]]) == 0
+            assert main(family) == 0 and main(random_file) == 0
+            return csv_text, capsys.readouterr().out
+
+        want = outputs()
+        trusted, built = qstate._trusted, Counter()
+
+        def checked(cls, *values, **memo):
+            obj = trusted(cls, *values, **memo)
+            obj.__post_init__()
+            built[cls.__name__] += 1
+            return obj
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("qent.")]:
+            if getattr(module, "_trusted", None) is trusted:
+                monkeypatch.setattr(module, "_trusted", checked)
+        got = outputs()
+        assert hashlib.sha256(got[0].encode()).hexdigest() == SEED7_CSV_SHA256
+        assert got == want
+        assert set(built) == {"PureState", "DensityMatrix", "Partition", "Invariants3",
+                              "Invariants4"}
+
+    def test_only_the_builder_skips_init(self):
+        """No module in src/qent calls __new__ but qstate._trusted."""
+        outside = []
+        for path in sorted(SOURCES.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            builder = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                       and (path.name, fn.name) == ("qstate.py", "_trusted")]
+            inside = {id(node) for fn in builder for node in ast.walk(fn)}
+            outside += [
+                f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and _name(node.func) == "__new__"
+                and id(node) not in inside
+            ]
+        assert outside == []
+        assert callable(qstate._trusted) and not hasattr(qstate, "_trusted_density")
 
 
 class TestCheckRefusesWithQentError:
