@@ -1,8 +1,9 @@
 """Exception classes shared across the package, brief() for their
-messages, and the one check of each kind of numeric argument: _integer,
-_real, _complex and _complex_array.  Each takes Python and numpy numbers
-alike, never a bool, string or None, refuses NaN and Inf, and raises
-the class its caller names."""
+messages, the one check of each kind of numeric argument (_integer,
+_real, _complex and _complex_array) and _kind, the one check that an
+argument is an instance of a qent type or a JSON shape.  The numeric
+checks take Python and numpy numbers alike, never a bool, string or
+None, and refuse NaN and Inf.  Each raises the class its caller names."""
 import cmath
 import itertools
 import re
@@ -68,6 +69,14 @@ def _span(lo, hi, fmt: str = "") -> str:
     if lo is None:
         return "" if hi is None else f" <= {hi:{fmt}}"
     return f" >= {lo:{fmt}}" if hi is None else f" in [{lo:{fmt}}, {hi:{fmt}}]"
+
+
+def _kind(value, cls, what: str, error: type = IncompatibleInput):
+    """value itself if it is an instance of cls, a class or a tuple of
+    classes; otherwise `error`: need `what`, got the type of value."""
+    if isinstance(value, cls):
+        return value
+    raise error(f"need {what}, got {type(value).__name__}")
 
 
 def _integer(value, what: str, lo=None, hi=None, error: type = OutOfRange) -> int:

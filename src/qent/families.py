@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (InputError, OutOfDomain, OutOfRange, ZeroVector, _complex, _complex_array,
-                     _integer, _real)
+                     _integer, _kind, _real)
 from .measures import MAX_SITES
 from .qstate import DensityMatrix, PureState, _normalized, _trusted, clamped_sqrt, make_pure
 
@@ -88,12 +88,12 @@ class ClosedFormPrediction:
         ceiling = np.sqrt(2.0) + 1e-9
         for v in (self.c2, self.c3, self.c4):
             if not -1e-12 <= v <= ceiling:
-                raise ValueError(f"closed-form concurrence {v} outside [0, sqrt(2)]")
+                raise OutOfDomain(f"closed-form concurrence {v} outside [0, sqrt(2)]")
         for v in self.negativities:
             if not -1e-12 <= v <= 1.0 + 1e-9:
-                raise ValueError(f"closed-form negativity {v} outside [0, 1]")
+                raise OutOfDomain(f"closed-form negativity {v} outside [0, 1]")
         if self.c2_min_negativity not in ("holds", "conditional", "fails"):
-            raise ValueError(f"bad c2_min_negativity {self.c2_min_negativity!r}")
+            raise OutOfDomain(f"bad c2_min_negativity {self.c2_min_negativity!r}")
 
 
 def ghz(n: int) -> PureState:
@@ -170,9 +170,9 @@ def _idx(bits: str) -> int:
 
 def slocc_family(params: FamilyParams) -> PureState:
     """The normalized four-qubit SLOCC normal-form state for `params`."""
+    fam = _kind(params, FamilyParams, "FamilyParams").family_id
     a, b, c, d = params.a, params.b, params.c, params.d
     v = np.zeros(16, dtype=complex)
-    fam = params.family_id
     if fam == 1:
         v[_idx("0000")] = v[_idx("1111")] = (a + d) / 2
         v[_idx("0011")] = v[_idx("1100")] = (a - d) / 2
@@ -287,7 +287,7 @@ def family_closed_forms(params: FamilyParams) -> ClosedFormPrediction:
     parameters so large that the formulas overflow."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _closed_forms(params)
+            return _closed_forms(_kind(params, FamilyParams, "FamilyParams"))
     except ArithmeticError as exc:  # OverflowError, or numpy's FloatingPointError
         raise OutOfRange(f"closed forms of {params.describe()} overflow") from exc
 
@@ -449,6 +449,7 @@ def default_parameter_grid(family_id: int) -> tuple[FamilyParams, ...]:
     """Deterministic parameter points for one family, mixing real values,
     complex phases, zeros, condition-true and condition-false regions,
     and the exact piecewise-branch boundaries of family 5."""
+    family_id = _integer(family_id, "family_id", 1, 9)
     reals = (0.0, 0.5, 1.0, 1.5)
     cplx = (0.5 + 0.5j, 0.8 - 0.3j, 1.2j, 0.3 - 0.4j, 1.1 + 0.7j, 0.25j)
     if family_id in (7, 8, 9):

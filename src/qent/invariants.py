@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, _real, brief
+from .errors import DimensionMismatch, InputError, _kind, _real, brief
 from .qstate import PureState, _pure, _purity, _reduced_density_pure, _trusted, clamped_sqrt
 
 # 3-partitions of A,B,C,D as (site, site, complement-pair purity index into i4)
@@ -77,7 +77,7 @@ def tangles_from_invariants3(
 
     and cyclic sign patterns for tau_AC, tau_BC.
     """
-    _, pa, pb, pc = inv.i4
+    _, pa, pb, pc = _kind(inv, Invariants3, "Invariants3").i4
     half = _real(tau_abc, "tau_abc", error=InputError) / 2.0
     return (
         1.0 - pa - pb + pc - half,
@@ -96,7 +96,7 @@ def kme_from_invariants3(inv: Invariants3) -> tuple[float, float]:
     the norm's rounding dust cancels instead of leaking through the
     square root, and unnormalized diagnostics stay degree-consistent.
     """
-    purities = inv.i4[1:]
+    purities = _kind(inv, Invariants3, "Invariants3").i4[1:]
     c2 = clamped_sqrt(2.0 * (inv.i2 - max(purities) / inv.i2))
     c3 = clamped_sqrt(2.0 / 3.0 * (3.0 * inv.i2 - sum(purities) / inv.i2))
     return (c2, c3)
@@ -123,7 +123,7 @@ def kme_from_invariants4(inv: Invariants4) -> tuple[float, float, float]:
     As in kme_from_invariants3, degree-4 invariants enter divided by I2
     to keep the norm's rounding dust out of the square roots.
     """
-    i2, i4 = inv.i2, inv.i4
+    i2, i4 = _kind(inv, Invariants4, "Invariants4").i2, inv.i4
     c2 = clamped_sqrt(2.0 * (i2 - max(i4) / i2))
     c3 = min(
         clamped_sqrt(2.0 / 3.0 * (3.0 * i2 - (i4[p] + i4[q] + i4[pair]) / i2))

@@ -40,8 +40,8 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, IncompatibleInput, IndexOutOfRange, OutOfRange
-from .errors import _integer, brief
+from .errors import (DimensionMismatch, IncompatibleInput, IndexOutOfRange, InputError, OutOfRange,
+                     _integer, _kind, _real, brief)
 from .partitions import Partition
 from .qstate import (
     DensityMatrix,
@@ -79,27 +79,30 @@ SVD_AMPLITUDES = 16 * 2**10
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """A measure's value plus the minimizing partition."""
+    """A measure's value, a finite real >= 0, plus the minimizing Partition
+    or None; built directly, InputError for anything else."""
 
     measure_name: str
     value: float
     optimal_partition: Optional[Partition]
 
     def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError(f"measure value {self.value} negative")
+        _kind(self.measure_name, str, "a measure name", InputError)
+        object.__setattr__(self, "value", _real(self.value, "value", 0.0, error=InputError))
+        _kind(self.optimal_partition, (Partition, type(None)), "a Partition or None", InputError)
 
 
 @dataclass(frozen=True)
 class NegativityProfile:
-    """Per-site negativities N^0..N^{n-1} of one qubit state."""
+    """Per-site negativities N^0..N^{n-1} of one qubit state, finite reals
+    in [0, 1] up to 1e-9; built directly, InputError for anything else."""
 
     per_site: tuple[float, ...]
 
     def __post_init__(self):
-        for v in self.per_site:
-            if not -1e-9 <= v <= 1.0 + 1e-9:
-                raise ValueError(f"qubit negativity {v} outside [0, 1]")
+        values = _kind(self.per_site, (list, tuple), "a list of negativities", InputError)
+        object.__setattr__(self, "per_site", tuple(
+            _real(v, "qubit negativity", -1e-9, 1.0 + 1e-9, InputError) for v in values))
 
 
 def _linear_entropy_rows(lam: np.ndarray) -> np.ndarray:
@@ -165,7 +168,7 @@ def transposed_profile(rho: Union[PureState, DensityMatrix]) -> NegativityProfil
     """Negativity of every site of rho by the transposing route,
     negativity(rho, p) for each p; a pure state's projector is built once."""
     rho = _density(rho)
-    return NegativityProfile(tuple(negativity(rho, p) for p in range(rho.num_sites)))
+    return _trusted(NegativityProfile, tuple(negativity(rho, p) for p in range(rho.num_sites)))
 
 
 def negativity_profile(state: Union[PureState, DensityMatrix]) -> NegativityProfile:
@@ -184,14 +187,13 @@ def negativity_profile(state: Union[PureState, DensityMatrix]) -> NegativityProf
     moves N by at most ||D^{T_p}||_1 + |Tr D|, and the dropped part has
     ||D^{T_p}||_1 <= 2 sum |dropped| and |Tr D| <= sum |dropped|.
     """
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise IncompatibleInput(f"need a state, got {type(state).__name__}")
-    prof = state._memo.get("negativity")
+    prof = _kind(state, (PureState, DensityMatrix), "a state")._memo.get("negativity")
     if prof is None:
         n = state.num_sites
         w = density_factor(state, (2**n - 1) // FACTORED_RANK_RATIO)
         if w is not None:
-            prof = NegativityProfile(tuple(_factored_negativity(w, n, p) for p in range(n)))
+            prof = tuple(_factored_negativity(w, n, p) for p in range(n))
+            prof = _trusted(NegativityProfile, prof)
         else:
             prof = transposed_profile(state)
         prof = state._memo.setdefault("negativity", prof)
@@ -393,7 +395,7 @@ def kme_concurrence_stack(states, k: int) -> tuple[MeasureReport, ...]:
     for n, at in by_size.items():
         tables = _cut_entropy_tables([states[i] for i in at], n - k + 1)
         for i, (value, partition) in zip(at, _kme_minima(tables, n, k)):
-            reports[i] = MeasureReport(f"C_{k}-ME", value, partition)
+            reports[i] = _trusted(MeasureReport, f"C_{k}-ME", value, partition)
     return tuple(reports)
 
 

@@ -16,14 +16,15 @@ _trusted, unchecked, and a public function checks its arguments before
 it calls a private kernel, which qent's own callers call.  A site index
 and a constructor's num_sites pass errors._integer: an int or numpy
 integer, never a bool or a float, kept as a Python int.  Amplitudes,
-matrix entries, local unitaries and the raw matrices that purity and
-hermitian_eigenvalues take pass errors._complex_array: finite numbers,
-kept as a read-only complex copy.
+matrix entries, local unitaries, Schmidt weights and the raw matrices of
+purity and hermitian_eigenvalues pass errors._complex_array: finite
+numbers, kept as a read-only complex copy.
 
 Functions of a pure state take it through the private gate _pure, and
 functions of a density matrix through _density, which builds
 density_of(psi) for a PureState.  Both refuse anything else with
-IncompatibleInput.
+IncompatibleInput, _pure through errors._kind, which gates every
+argument of a qent type.
 
 PureState and DensityMatrix memoize quantities derived from their
 entries in a `_memo` dict that is not part of their identity: the
@@ -38,7 +39,6 @@ memo twice writes the same values, so it needs no lock.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -55,6 +55,7 @@ from .errors import (
     ZeroVector,
     _complex_array,
     _integer,
+    _kind,
     brief,
 )
 
@@ -156,10 +157,11 @@ class SchmidtSpectrum:
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        weights = _complex_array(self.coefficients, "Schmidt weights", InputError)
+        if weights.ndim != 1 or weights.imag.any():
+            raise InputError(f"need a real Schmidt weight list, got {brief(self.coefficients)}")
+        coeffs = tuple(weights.real.tolist())
         object.__setattr__(self, "coefficients", coeffs)
-        if not all(math.isfinite(c) for c in coeffs):
-            raise InputError(f"non-finite Schmidt weight in {coeffs}")
         if any(c < -NORM_TOL for c in coeffs):
             raise InputError(f"negative Schmidt weight in {coeffs}")
         if abs(sum(coeffs) - 1.0) > NORM_TOL:
@@ -197,8 +199,8 @@ def _normalized(v: np.ndarray, what: str) -> np.ndarray:
 
 
 def _trusted(cls, *values, **memo):
-    """A cls (a state, Partition or Invariants dataclass) of field values
-    qent built out of checked ones, without __post_init__'s checks.  Its
+    """A cls (a state, Partition, Invariants or result dataclass) of field
+    values qent built out of checked ones, without __post_init__'s checks.  Its
     arrays become read-only, and the keyword arguments fill a state's memo."""
     obj = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, (*values, memo)):  # memo fills _memo, if any
@@ -210,9 +212,7 @@ def _trusted(cls, *values, **memo):
 
 def _pure(state) -> PureState:
     """state itself; IncompatibleInput unless it is a PureState."""
-    if not isinstance(state, PureState):
-        raise IncompatibleInput(f"need a pure state, got {type(state).__name__}")
-    return state
+    return _kind(state, PureState, "a pure state")
 
 
 def _density(state) -> DensityMatrix:
@@ -257,10 +257,8 @@ def density_factor(
     """
     if isinstance(state, PureState):
         w = state.amplitudes[:, None]
-    elif not isinstance(state, DensityMatrix):
-        raise IncompatibleInput(f"need a state, got {type(state).__name__}")
     else:
-        w = state._memo.get("factor")
+        w = _kind(state, DensityMatrix, "a state")._memo.get("factor")
     if w is None:
         d = state._memo.get("spectrum")
         if d is None:

@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import (ConfigError, IncompatibleInput, InputError, _complex_array, _integer,
+from .errors import (ConfigError, IncompatibleInput, InputError, _complex_array, _integer, _kind,
                      _real, brief)
 from .families import (
     FAMILY_LABELS,
@@ -475,17 +475,13 @@ def _admit(rel: RelationId, payload) -> tuple:
     if rel.value in _PAIRS and not (isinstance(payload, tuple) and len(payload) == 2):
         raise IncompatibleInput(f"{rel.value} payload must be {_PAIRS[rel.value]}")
     if rel is RelationId.R2:
-        if not isinstance(payload, Ensemble):
-            raise IncompatibleInput("R2 expects an Ensemble")
-        n = _num_sites("R2 qubit count", payload.num_sites)
+        n = _num_sites("R2 qubit count", _kind(payload, Ensemble, "an Ensemble for R2").num_sites)
         return payload, f"ensemble n={n} rank={len(payload.states)}"
     if rel is RelationId.R3:
         n, t = _num_sites("R3 n", payload[0]), _real(payload[1], "R3 t", error=IncompatibleInput)
         return (n, t), f"ghz_noise n={n} t={t:.6g}"
     if rel is RelationId.R7:
-        if not isinstance(payload, FamilyParams):
-            raise IncompatibleInput("R7 expects FamilyParams")
-        return payload, payload.describe()
+        return payload, _kind(payload, FamilyParams, "FamilyParams for R7").describe()
     if rel is RelationId.R8:
         kind, arg = payload
         if not (isinstance(kind, str) and kind in ("w_kme", "w_two_tangle")):
@@ -532,8 +528,7 @@ def _spec_value(name: str, key: str, value):
         return value if value is None else _tolerance(value, what, ConfigError)
     if key == "grids":
         return value
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{what} must be a list, got {brief(value)}")
+    _kind(value, (list, tuple), f"a list for {what}", ConfigError)
     if key == "cuts":  # a cut builds a 4^(na + nb) projector
         if not all(isinstance(cut, (list, tuple)) and len(cut) == 2 for cut in value):
             raise ConfigError(f"{what} must be a list of [na, nb] pairs, got {brief(value)}")
@@ -598,15 +593,11 @@ class SuiteConfig:
             if not all(isinstance(name, str) for name in rels):
                 raise ConfigError(f"relations list entries must be names, got {brief(rels)}")
             rels = {name: {} for name in rels}
-        if not isinstance(rels, dict):
-            raise ConfigError("relations must be a list or an object")
-        for name, spec in rels.items():
+        for name, spec in _kind(rels, dict, "relations as a list or object", ConfigError).items():
             if name not in _RELATIONS:
                 raise ConfigError(f"unknown relation {brief(name)}")
-            if spec is None:
-                spec = {}
-            if not isinstance(spec, dict):
-                raise ConfigError(f"relation {name} spec must be an object")
+            spec = _kind({} if spec is None else spec, dict, f"an object for relation {name} spec",
+                         ConfigError)
             defaults = {"tolerance": None, **_RELATIONS[name].spec}
             bad = set(spec) - set(defaults)
             if bad:
@@ -616,9 +607,8 @@ class SuiteConfig:
             top = 2 ** min(merged.get("sizes") or [SUITE_MAX_SITES])
             if any(rank > top for rank in merged.get("ranks", ())):
                 raise ConfigError(f"relation {name} ranks must be at most 2^n for every size n")
-            grids = merged.get("grids") or {}
-            if not isinstance(grids, dict):
-                raise ConfigError(f"{name} grids must map family id to per-parameter lists")
+            grids = _kind(merged.get("grids") or {}, dict,
+                          f"{name} grids as a map of family ids to lists", ConfigError)
             for fam in merged.get("families", ()):
                 _custom_grid(grids, fam)
             normalized[name] = merged
@@ -634,9 +624,7 @@ class SuiteConfig:
             payload = json.loads(text)
         except (TypeError, ValueError) as exc:  # not text, bad JSON, or an int of over 4300 digits
             raise ConfigError(f"invalid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError("suite config must be a JSON object")
-        bad = set(payload) - {"seed", "relations"}
+        bad = set(_kind(payload, dict, "a JSON object", ConfigError)) - {"seed", "relations"}
         if bad:
             raise ConfigError(f"unknown top-level keys {sorted(bad)}")
         return cls(**payload)
@@ -803,10 +791,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     Each checker call takes at most SUITE_GROUP_CASES consecutive cases of
     one relation, generated only when asked for.  Results are sorted by
     (relation, state descriptor), so reports are byte-identical for
-    identical configs.
+    identical configs.  Anything but a SuiteConfig raises ConfigError.
     """
     results = []
-    for name in sorted(config.relations):
+    for name in sorted(_kind(config, SuiteConfig, "a SuiteConfig", ConfigError).relations):
         rel, spec = RelationId(name), config.relations[name]
         cases = _relation_cases(rel, spec, config.seed)
         while group := list(itertools.islice(cases, SUITE_GROUP_CASES)):

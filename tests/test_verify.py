@@ -38,7 +38,7 @@ from qent import (
 
 from qent import qstate, verify
 from qent.cli import main
-from qent.measures import FACTORED_RANK_RATIO, transposed_profile
+from qent.measures import FACTORED_RANK_RATIO, MeasureReport, NegativityProfile, transposed_profile
 from qent.qstate import density_factor
 from test_integers import SOURCES, _name
 
@@ -439,7 +439,7 @@ class TestTrustBoundary:
     @pytest.fixture
     def validations(self, monkeypatch):
         """The objects of each class whose checks ran, by class name."""
-        classes = (PureState, DensityMatrix, Partition)
+        classes = (PureState, DensityMatrix, Partition, MeasureReport, NegativityProfile)
         calls = {cls.__name__: [] for cls in classes}
         for cls in classes:
             monkeypatch.setattr(cls, "__post_init__", lambda obj, check=cls.__post_init__: (
@@ -447,14 +447,17 @@ class TestTrustBoundary:
         PureState([1, 0], 1)
         DensityMatrix(np.eye(2) / 2, 1)
         Partition(((0,),))
-        assert [len(c) for c in calls.values()] == [1, 1, 1]  # the counters are live
+        MeasureReport("C_2-ME", 0.0, None)
+        NegativityProfile((0.0,))
+        assert [len(c) for c in calls.values()] == [1] * 5  # the counters are live
         for c in calls.values():
             c.clear()
         return calls
 
     def test_default_suite_validates_nothing_it_built(self, validations):
         run_suite(SuiteConfig.default(seed=7))
-        assert validations == {"PureState": [], "DensityMatrix": [], "Partition": []}
+        assert validations == {"PureState": [], "DensityMatrix": [], "Partition": [],
+                               "MeasureReport": [], "NegativityProfile": []}
 
     @pytest.mark.parametrize("build,factored", [
         (lambda: random_mixed(6, 3, 17), True),  # rank 3: spectrum computed on first use
@@ -500,7 +503,7 @@ class TestTrustBoundary:
         assert hashlib.sha256(got[0].encode()).hexdigest() == SEED7_CSV_SHA256
         assert got == want
         assert set(built) == {"PureState", "DensityMatrix", "Partition", "Invariants3",
-                              "Invariants4"}
+                              "Invariants4", "MeasureReport", "NegativityProfile"}
 
     def test_only_the_builder_skips_init(self):
         """No module in src/qent calls __new__ but qstate._trusted."""
