@@ -85,13 +85,18 @@ class ClosedFormPrediction:
     condition_margin: Optional[float]
 
     def __post_init__(self):
-        ceiling = np.sqrt(2.0) + 1e-9
-        for v in (self.c2, self.c3, self.c4):
-            if not -1e-12 <= v <= ceiling:
-                raise OutOfDomain(f"closed-form concurrence {v} outside [0, sqrt(2)]")
-        for v in self.negativities:
-            if not -1e-12 <= v <= 1.0 + 1e-9:
-                raise OutOfDomain(f"closed-form negativity {v} outside [0, 1]")
+        top = np.sqrt(2.0) + 1e-9
+        for name in ("c2", "c3", "c4"):
+            value = _real(getattr(self, name), f"closed-form {name}", -1e-12, top, OutOfDomain)
+            object.__setattr__(self, name, value)
+        values = _kind(self.negativities, (list, tuple), "four negativities", OutOfDomain)
+        if len(values) != 4:
+            raise OutOfDomain(f"need four closed-form negativities, got {len(values)}")
+        object.__setattr__(self, "negativities", tuple(
+            _real(v, "closed-form negativity", -1e-12, 1.0 + 1e-9, OutOfDomain) for v in values))
+        if self.condition_margin is not None:
+            margin = _real(self.condition_margin, "condition margin", error=OutOfDomain)
+            object.__setattr__(self, "condition_margin", margin)
         if self.c2_min_negativity not in ("holds", "conditional", "fails"):
             raise OutOfDomain(f"bad c2_min_negativity {self.c2_min_negativity!r}")
 
@@ -414,14 +419,7 @@ def _closed_forms(params: FamilyParams) -> ClosedFormPrediction:
 
     if not np.isfinite([c2v, c3v, c4v, *neg, 0.0 if margin is None else margin]).all():
         raise OverflowError("a closed form is not finite")  # float products overflowed
-    return ClosedFormPrediction(
-        c2=float(c2v),
-        c3=float(c3v),
-        c4=float(c4v),
-        negativities=tuple(float(v) for v in neg),
-        c2_min_negativity=rule,
-        condition_margin=margin if margin is None else float(margin),
-    )
+    return ClosedFormPrediction(c2v, c3v, c4v, neg, rule, margin)
 
 
 def w_two_tangle(coeffs: Sequence[complex], i: int, j: int) -> float:

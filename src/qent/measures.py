@@ -5,8 +5,8 @@ candidate value is sqrt(2/k * sum_t S_L(A_t)) with the linear entropy
 S_L(A) = 1 - Tr rho_A^2; the measure is the minimum over all
 k-partitions.  It is computed without enumerating the S(n, k)
 partitions: a cut-entropy table holds S_L(B) for every block B of at
-most n - k + 1 sites (one SVD per block, cached on the state and filled
-one block size at a time), and a backward subset DP over canonical
+most n - k + 1 sites (one SVD per cut B | rest, cached on the state and
+filled one block size at a time), and a backward subset DP over canonical
 prefixes (each step adds the block holding the lowest unused site)
 finds the least right-nested block sum S(B_1) + (S(B_2) + (... + S(B_k)))
 exactly.  The reported partition is the lexicographically smallest
@@ -54,6 +54,7 @@ from .qstate import (
     density_factor,
     partial_transpose,
     schmidt_weights,
+    sites_tuple,
 )
 
 # largest n that k-ME accepts (n = 14, k = 7 takes about a minute); the
@@ -106,13 +107,10 @@ class NegativityProfile:
 
 
 def _linear_entropy_rows(lam: np.ndarray) -> np.ndarray:
-    """2 * sum_{i<j} lam_i lam_j for each row of a 2-D array of weights.
-
-    One np.dot per row: a batched product sums in another order and
-    moves results by an ulp.
-    """
+    """2 * sum_{i<j} lam_i lam_j for each row of a 2-D array of weights;
+    a row's value does not depend on the other rows."""
     tail = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
-    return np.array([2.0 * np.dot(a[:-1], t[1:]) for a, t in zip(lam, tail)])
+    return 2.0 * (lam[:, :-1] * tail[:, 1:]).sum(axis=1)
 
 
 def linear_entropy_pure(psi: PureState, block: Union[int, Iterable[int]]) -> float:
@@ -120,9 +118,14 @@ def linear_entropy_pure(psi: PureState, block: Union[int, Iterable[int]]) -> flo
 
     Evaluated as 2 * sum_{i<j} lambda_i lambda_j over the squared
     Schmidt coefficients of the cut, which keeps structural zeros exact
-    instead of cancelling 1 against a purity.
+    instead of cancelling 1 against a purity.  The SVD takes the side
+    of fewer than n / 2 sites, or of n / 2 with site 0, as the tables do.
     """
-    return float(_linear_entropy_rows(schmidt_weights(psi, block)[None, :])[0])
+    n = _pure(psi).num_sites
+    side = sites_tuple(block, n)
+    if len(side) < n and (2 * len(side) > n or 2 * len(side) == n and side[0] != 0):
+        side = tuple(s for s in range(n) if s not in side)
+    return float(_linear_entropy_rows(schmidt_weights(psi, side)[None, :])[0])
 
 
 def _negativity_of_spectrum(ev: np.ndarray) -> float:
@@ -202,12 +205,14 @@ def negativity_profile(state: Union[PureState, DensityMatrix]) -> NegativityProf
 
 @functools.lru_cache(maxsize=32)
 def _cuts(n: int, size: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """For each block of `size` of n sites in combinations() order, the
-    axes that move a stack of state tensors (stack axis first) to the
-    block's sites then the rest, and the block's bitmask."""
-    blocks = list(combinations(range(n), size))
+    """For each block of `size` <= n / 2 of n sites (at n / 2 only those
+    holding site 0) in combinations() order, the axes that move a stack of
+    state tensors (stack axis first) to its sites then the rest; and the
+    bitmasks of the blocks (row 0) and of their complements (row 1)."""
+    blocks = [b for b in combinations(range(n), size) if 2 * size < n or b[0] == 0]
     axes = tuple((0, *(1 + s for s in b), *(1 + s for s in range(n) if s not in b)) for b in blocks)
     masks = np.array([sum(1 << s for s in b) for b in blocks])
+    masks = np.array([masks, ((1 << n) - 1) ^ masks])
     masks.setflags(write=False)
     return axes, masks
 
@@ -216,24 +221,19 @@ def _cut_entropy_tables(states: list[PureState], max_size: int) -> np.ndarray:
     """S_L(B) for every block bitmask B (bit i = site i) of up to max_size
     sites, one row per state; the states share one site count.
 
-    Every other entry (the empty block, the full set and sizes not yet
-    filled) holds inf.  Each state's table is cached on it and grows one
-    block size at a time.  Each block gets its own SVD, also when its
-    complement is in the table, so every entry equals
-    linear_entropy_pure(psi, block) bit for bit; the cuts of one size go
-    into stacked SVD calls of at most SVD_AMPLITUDES amplitudes.
+    One SVD per unordered cut, on the side linear_entropy_pure takes
+    (blocks of 1 .. min(max_size, n // 2) sites), fills B and its
+    complement, so every entry equals linear_entropy_pure(psi, block)
+    bit for bit; entries not filled hold inf.  Each state's memo keeps
+    its table and the block size it is filled to.  The cuts of one size
+    go into stacked SVD calls of at most SVD_AMPLITUDES amplitudes.
     """
     n = states[0].num_sites
-    tables = [psi._memo.get("cut_entropy") for psi in states]
-    tables = [psi._memo.setdefault("cut_entropy", np.full(1 << n, np.inf)) if t is None else t
-              for psi, t in zip(states, tables)]
-    # sizes are filled in order and blocks in combinations() order, so a
-    # table holds a size once it holds that size's last block, the top sites
-    top = [((1 << size) - 1) << (n - size) for size in range(max_size + 1)]
-    short = [i for i, table in enumerate(tables) if table[top[max_size]] == np.inf]
+    filled, tables = zip(*(psi._memo.get("cut_entropy") or (0, np.full(1 << n, np.inf))
+                           for psi in states))
     cuts = max(1, SVD_AMPLITUDES >> n)  # cuts one SVD call may hold
-    for size in range(1, max_size + 1):
-        cold = [i for i in short if tables[i][top[size]] == np.inf]
+    for size in range(1, min(max_size, n // 2) + 1):
+        cold = [i for i, size_filled in enumerate(filled) if size_filled < size]
         if not cold:
             continue
         axes, masks = _cuts(n, size)
@@ -251,7 +251,9 @@ def _cut_entropy_tables(states: list[PureState], max_size: int) -> np.ndarray:
                 lam = np.clip(sing, 0.0, None).reshape(-1, sing.shape[-1]) ** 2
                 ent = _linear_entropy_rows(lam).reshape(len(chunk), len(group))
                 for i, column in zip(group, ent.T):
-                    tables[i][masks[start : start + per_call]] = column
+                    tables[i][masks[:, start : start + per_call]] = column
+        for i in cold:
+            states[i]._memo["cut_entropy"] = (size, tables[i])
     return np.array(tables)
 
 

@@ -139,6 +139,8 @@ def test_a_result_built_directly_keeps_python_numbers():
 @pytest.mark.parametrize("field,value", [
     ("c2", 1.5), ("c3", -0.1), ("c4", float("nan")), ("negativities", (0, 0, 0, 1.1)),
     ("c2_min_negativity", "maybe"),
+    ("c2", None), ("c3", "0.5"), ("negativities", None), ("negativities", (0.5,) * 3),
+    ("condition_margin", "x"),
 ])
 def test_closed_form_out_of_range_is_out_of_domain(field, value):
     fields = {"c2": 0.5, "c3": 0.5, "c4": 0.5, "negativities": (0.5,) * 4,
@@ -146,6 +148,13 @@ def test_closed_form_out_of_range_is_out_of_domain(field, value):
     ClosedFormPrediction(**fields)
     with pytest.raises(OutOfDomain):
         ClosedFormPrediction(**{**fields, field: value})
+
+
+def test_closed_form_keeps_python_numbers():
+    pred = ClosedFormPrediction(np.float64(0.5), 1, 0.5, [np.float64(0.25)] * 4, "fails", -1)
+    values = (pred.c2, pred.c3, *pred.negativities, pred.condition_margin)
+    assert values == (0.5, 1.0, 0.25, 0.25, 0.25, 0.25, -1.0)
+    assert all(type(v) is float for v in values)
 
 
 def _own_kind_tests(source: str) -> list[int]:

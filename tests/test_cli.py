@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qent import PureState, linear_entropy_pure, make_pure, state_to_json, w
+from qent import (FamilyParams, PureState, linear_entropy_pure, load_state, make_pure,
+                  slocc_family, state_to_json, w)
 from qent import cli, qstate, verify
 from qent.cli import main
 
@@ -285,6 +286,16 @@ class TestMeasureCommand:
         assert main(["measure", "--state", str(state)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k,message", [("2,x", "cannot parse k list '2,x'"),
+                                           (",", "empty k list")])
+    def test_bad_k_list_exits_2(self, bell_file, capsys, k, message):
+        assert main(["measure", "--state", str(bell_file), "--k", k]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_missing_state_file_exits_2(self, tmp_path, capsys):
+        assert main(["measure", "--state", str(tmp_path / "absent.json")]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
     def test_huge_k_echoed_short(self, capsys):
         assert main(["measure", "--family", "8", "--k", "9" * 35]) == 2
         err = capsys.readouterr().err
@@ -296,6 +307,10 @@ class TestInvariantsCommand:
         assert main(["invariants", "--family", "9"]) == 0
         out = capsys.readouterr().out
         assert "I4(7)" in out
+
+    def test_two_qubit_file_exits_2(self, bell_file, capsys):
+        assert main(["invariants", "--state", str(bell_file)]) == 2
+        assert "defined for 3- or 4-qubit pure states" in capsys.readouterr().err
 
 
 class TestFamilyCommand:
@@ -312,6 +327,13 @@ class TestFamilyCommand:
 
     def test_bad_complex_literal(self, capsys):
         assert main(["family", "--family", "3", "--a", "zzz"]) == 2
+
+    def test_out_file_round_trips(self, tmp_path, capsys):
+        out = tmp_path / "f6.json"
+        assert main(["family", "--family", "6", "--a", "1", "--out", str(out)]) == 0
+        psi = load_state(out)
+        assert isinstance(psi, PureState) and psi.num_sites == 4
+        assert np.array_equal(psi.amplitudes, slocc_family(FamilyParams(6, a=1)).amplitudes)
 
 
 class TestRandomCommand:

@@ -184,6 +184,10 @@ class TestSloccStates:
         with pytest.raises(ZeroVector):
             slocc_family(FamilyParams(1))
 
+    def test_family1_zero_params_closed_forms_rejected(self):
+        with pytest.raises(ZeroVector):
+            family_closed_forms(FamilyParams(1))
+
     def test_bad_family_id(self):
         with pytest.raises(OutOfRange):
             FamilyParams(10)

@@ -41,7 +41,8 @@ from qent import (
     wootters_concurrence,
 )
 from qent import IncompatibleInput, kme_concurrence_stack, random_pure
-from qent.measures import FACTORED_RANK_RATIO, SVD_AMPLITUDES, transposed_profile
+from qent.measures import (FACTORED_RANK_RATIO, SVD_AMPLITUDES, _cut_entropy_tables,
+                           transposed_profile)
 from qent.qstate import clamped_sqrt, density_factor
 
 BELL = make_pure([1, 0, 0, 1], 2)
@@ -332,7 +333,7 @@ class TestKmeStack:
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.size) or svd(a, **kw))
         states = [random_pure(3, seed) for seed in range(40)]
         kme_concurrence_stack(states, 2)
-        assert len(calls) == 2  # blocks of one and of two sites
+        assert len(calls) == 1  # one-site blocks, which fill their two-site complements too
         calls.clear()
         kme_concurrence_stack([random_pure(8, seed) for seed in range(64)], 2)
         assert max(calls) <= SVD_AMPLITUDES
@@ -346,6 +347,46 @@ class TestKmeStack:
             kme_concurrence_stack([psi, density_of(psi)], 2)
         with pytest.raises(IncompatibleInput):
             kme_concurrence_stack(psi, 2)
+
+
+def _table_states(rng, n):
+    """A random, a GHZ, a W and a Dicke state of n qubits, each with a cold table."""
+    states = [PureState(random_state_vector(n, rng), n), ghz(n), w(n), _dicke(n, n // 2)]
+    return [PureState(psi.amplitudes, n) for psi in states]
+
+
+class TestCutEntropyTables:
+    """One SVD per unordered cut fills a block and its complement; every
+    entry equals linear_entropy_pure of its block bit for bit (==)."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("order", ["descending", "two first", "n then two"])
+    def test_entries_equal_linear_entropy_pure(self, rng, n, order):
+        ks = {"descending": range(n, 1, -1), "two first": [2, *range(n, 2, -1)],
+              "n then two": [n, 2]}[order]
+        states = _table_states(rng, n)
+        blocks = [tuple(s for s in range(n) if mask >> s & 1) for mask in range(1 << n)]
+        # blocks of exactly n / 2 sites and their complements are among these
+        want = [[linear_entropy_pure(psi, b) if 0 < len(b) < n else np.inf for b in blocks]
+                for psi in states]
+        for k in ks:
+            tables = _cut_entropy_tables(states, n - k + 1)
+            for table, values in zip(tables, want):
+                for block, got, value in zip(blocks, table, values):
+                    assert got == value or (got == np.inf and len(block) > n - k + 1), (k, block)
+        # k = 2 needs every block of 1 .. n - 1 sites
+        assert np.isfinite(tables[:, 1:-1]).all() and (tables[:, [0, -1]] == np.inf).all()
+
+    def test_no_svd_of_more_than_half_the_sites(self, rng, monkeypatch):
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+        kme_concurrence_pure(PureState(random_state_vector(10, rng), 10), 10)
+        assert {shape[-2:] for shape in shapes} == {(2, 512)}  # one-site blocks only
+        for n in (5, 6, 7):
+            shapes.clear()
+            kme_concurrence_pure(PureState(random_state_vector(n, rng), n), 2)
+            assert max(rows for *_, rows, _ in shapes) == 2 ** (n // 2)
+            assert all(rows <= cols for *_, rows, cols in shapes)
 
 
 class TestNmeLowerBound:

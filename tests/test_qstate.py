@@ -322,6 +322,21 @@ class TestStateJson:
         assert np.array_equal(state_from_json(text).amplitudes, [1, 0])
 
 
+class TestRefusals:
+    def test_duplicate_sites(self):
+        with pytest.raises(IndexOutOfRange, match="duplicate site indices"):
+            reduced_density_pure(ghz(3), (0, 0))
+
+    def test_negative_schmidt_weight(self):
+        with pytest.raises(InputError, match="negative Schmidt weight"):
+            SchmidtSpectrum([1.5, -0.5])
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"kind": "mixed", "num_sites": 1}'])
+    def test_state_json_of_no_known_kind(self, text):
+        with pytest.raises(InputError):
+            state_from_json(text)
+
+
 class TestMakePureScale:
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e200, 1e300])
     def test_any_finite_scale_normalizes(self, scale):

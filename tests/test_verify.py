@@ -1,5 +1,6 @@
 import ast
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -43,8 +44,30 @@ from qent.qstate import density_factor
 from test_integers import SOURCES, _name
 
 # sha256 of run_suite(SuiteConfig.default(7)).to_csv(), the bytes of
-# `qent verify --default --seed 7 --csv`
-SEED7_CSV_SHA256 = "eea08817e999a079483d1c96d114121b41d222835e9c3da57e0d59c68b4113b3"
+# `qent verify --default --seed 7 --csv`, per OpenBLAS core: the cores
+# round some values differently (each measured with OPENBLAS_CORETYPE)
+SEED7_CSV_SHA256 = {
+    "SkylakeX": "283291a32a9fc5ecd860645da3d0e716f194281a4ffc36191a25a3d2307dfe0d",
+    "Haswell": "f47d7909844056d541c5b620f4e049b6a133a5def4e260432a29f90ce8b7dc3f",
+    "Sandybridge": "2f4f3ba0f1860a2a6f8eb3ab4cbffc2deb0b8dcdc3727b9ff7de3c4dd85923cb",
+    "Nehalem": "68c35b251ae6540bb9a668a123bb1db5fd0375705fdcaeba1aa59e4a30808054",
+}
+
+
+def _seed7_sha256() -> str:
+    """The pinned seed-7 sha of the OpenBLAS core this process runs on,
+    read from numpy's bundled OpenBLAS; fails when the core cannot be
+    read or has no pin."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    except (IndexError, OSError, AttributeError) as exc:
+        pytest.fail(f"cannot read the OpenBLAS core of numpy's bundled library: {exc!r}")
+    if core not in SEED7_CSV_SHA256:
+        pytest.fail(f"no seed-7 sha pinned for OpenBLAS core {core!r}")
+    return SEED7_CSV_SHA256[core]
 
 REFERENCE_CSV = (
     Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "suite_seed7.csv"
@@ -216,6 +239,11 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError):
             SuiteConfig(relations=relations)
 
+    @pytest.mark.parametrize("cuts", [[[1, 2, 3]], [1]])
+    def test_r9_cuts_must_be_pairs(self, cuts):
+        with pytest.raises(ConfigError, match="pairs"):
+            SuiteConfig(relations={"R9": {"cuts": cuts}})
+
     @pytest.mark.parametrize("relations", [
         {"R1": {"sizes": [2]}, "R3": {"sizes": [2]}, "R8": {"sizes": [3]}},
         {"R2": {"sizes": [2, 3], "ranks": [1, 4]}},
@@ -362,7 +390,7 @@ class TestBehaviourReference:
 
     def test_default_suite_report_bytes(self):
         csv_text = run_suite(SuiteConfig.default(7)).to_csv()
-        assert hashlib.sha256(csv_text.encode()).hexdigest() == SEED7_CSV_SHA256
+        assert hashlib.sha256(csv_text.encode()).hexdigest() == _seed7_sha256()
 
 
 class TestSuiteGroups:
@@ -500,7 +528,7 @@ class TestTrustBoundary:
             if getattr(module, "_trusted", None) is trusted:
                 monkeypatch.setattr(module, "_trusted", checked)
         got = outputs()
-        assert hashlib.sha256(got[0].encode()).hexdigest() == SEED7_CSV_SHA256
+        assert hashlib.sha256(got[0].encode()).hexdigest() == _seed7_sha256()
         assert got == want
         assert set(built) == {"PureState", "DensityMatrix", "Partition", "Invariants3",
                               "Invariants4", "MeasureReport", "NegativityProfile"}
