@@ -5,16 +5,18 @@ candidate value is sqrt(2/k * sum_t S_L(A_t)) with the linear entropy
 S_L(A) = 1 - Tr rho_A^2; the measure is the minimum over all
 k-partitions.  It is computed without enumerating the S(n, k)
 partitions: a cut-entropy table holds S_L(B) for every block B of at
-most n - k + 1 sites (one SVD per cut B | rest, cached on the state and
-filled one block size at a time), and a backward subset DP over canonical
+most n - k + 1 sites (one eigensolve of a Gram matrix per unordered cut
+B | rest, an SVD for a cut near product, cached on the state and filled
+one block size at a time), and a backward subset DP over canonical
 prefixes (each step adds the block holding the lowest unused site)
 finds the least right-nested block sum S(B_1) + (S(B_2) + (... + S(B_k)))
 exactly.  The reported partition is the lexicographically smallest
 canonical one that attains the rounded minimum, found by a greedy walk
 over the same DP.  kme_concurrence_stack does this for a stack of
-states at once, with stacked SVD calls and a leading state axis, and
-kme_concurrence_pure is its stack of one.  k-ME refuses states of more
-than MAX_SITES = 14 qubits (n = 14, k = 7 takes about a minute).
+states at once, with stacked Gram products and eigvalsh calls and a
+leading state axis, and kme_concurrence_pure is its stack of one.  k-ME
+refuses states of more than MAX_SITES = 14 qubits (n = 14, k = 7 takes
+about 5 seconds on two cores).
 
 Negativity of qubit p is the trace norm of the partial transpose minus
 one (identically minus twice the sum of negative transposed
@@ -46,6 +48,7 @@ from .partitions import Partition
 from .qstate import (
     DensityMatrix,
     PureState,
+    _amplitude_matrix,
     _density,
     _first_kept,
     _pure,
@@ -53,11 +56,10 @@ from .qstate import (
     _trusted,
     density_factor,
     partial_transpose,
-    schmidt_weights,
     sites_tuple,
 )
 
-# largest n that k-ME accepts (n = 14, k = 7 takes about a minute); the
+# largest n that k-ME accepts (n = 14, k = 7 takes about 5 seconds); the
 # GHZ, W and GHZ + noise constructors and closed forms share it
 MAX_SITES = 14
 # eigenvalues of a partial transpose above this are treated as non-negative
@@ -73,9 +75,25 @@ FACTORED_RANK_RATIO = 8
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_SY, _SY)
 
-# most amplitudes one stacked SVD call holds when filling cut-entropy
-# tables: 16 cuts of a 10-qubit state
-SVD_AMPLITUDES = 16 * 2**10
+# most amplitudes one stacked Gram product (and its eigvalsh call) holds
+# when filling cut-entropy tables: 16 cuts of a 10-qubit state
+CUT_AMPLITUDES = 16 * 2**10
+
+# _cut_entropies takes S_L = 2 sum_{i<j} lam_i lam_j of a cut from the
+# eigenvalues lam of its d x d Gram matrix G = M M^dag, d = 2^s <= 2^7.
+# G is formed and diagonalized with backward errors of a few u ||G||,
+# u = 2^-53 and ||G|| <= Tr G = 1, so each lam_i is off by about u, and
+# S_L, whose derivative in lam_i is 2 (1 - lam_i) <= 2, by at most
+# delta ~ 2 d u + d u (the sum) <= 384 u = 4.3e-14 from the SVD route's
+# value (measured: at most 25 u over random and near-product cuts of
+# d = 2..128).  A k-partition whose block sum T holds m >= 1 Gram values
+# has T >= m (GRAM_FLOOR - delta) on either route and moves by at most
+# m delta, so sqrt(2 T / k) moves by at most delta / sqrt(2 (GRAM_FLOOR -
+# delta)) <= 1e-12 for GRAM_FLOOR >= delta^2 / 2e-24 + delta = 9.2e-4, and
+# so does the k-ME minimum.  A Gram value below the floor is taken again
+# from the SVD, which keeps small values accurate to about u sigma and
+# product cuts at exactly 0.0.
+GRAM_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -107,25 +125,43 @@ class NegativityProfile:
 
 
 def _linear_entropy_rows(lam: np.ndarray) -> np.ndarray:
-    """2 * sum_{i<j} lam_i lam_j for each row of a 2-D array of weights;
-    a row's value does not depend on the other rows."""
-    tail = np.cumsum(lam[:, ::-1], axis=1)[:, ::-1]
-    return 2.0 * (lam[:, :-1] * tail[:, 1:]).sum(axis=1)
+    """2 * sum_{i<j} lam_i lam_j over the last axis of an array of weights
+    in descending order; a row's value does not depend on the other rows."""
+    tail = np.cumsum(lam[..., ::-1], axis=-1)[..., ::-1]
+    return 2.0 * (lam[..., :-1] * tail[..., 1:]).sum(axis=-1)
+
+
+def _cut_entropies(stack: np.ndarray) -> np.ndarray:
+    """S_L of each amplitude matrix M of a stack (..., 2^s, 2^(n - s)),
+    s <= n - s, as 2 * sum_{i<j} lam_i lam_j over the eigenvalues of its
+    Gram matrix M M^dag, or over its squared singular values where that
+    reads below GRAM_FLOOR.  A matrix's value does not depend on the
+    others in the stack."""
+    lam = np.linalg.eigvalsh(stack @ stack.conj().swapaxes(-1, -2))
+    ent = _linear_entropy_rows(lam[..., ::-1])
+    low = ent < GRAM_FLOOR
+    if low.any():
+        ent[low] = _linear_entropy_rows(np.linalg.svd(stack[low], compute_uv=False) ** 2)
+    return ent
 
 
 def linear_entropy_pure(psi: PureState, block: Union[int, Iterable[int]]) -> float:
     """1 - Tr(rho_block^2) for a pure state.
 
-    Evaluated as 2 * sum_{i<j} lambda_i lambda_j over the squared
-    Schmidt coefficients of the cut, which keeps structural zeros exact
-    instead of cancelling 1 against a purity.  The SVD takes the side
-    of fewer than n / 2 sites, or of n / 2 with site 0, as the tables do.
+    Evaluated as 2 * sum_{i<j} lambda_i lambda_j over the Schmidt
+    weights of the cut, instead of cancelling 1 against a purity: the
+    eigenvalues of the Gram matrix of the side of fewer than n / 2 sites
+    (of n / 2 with site 0), or, for a value below GRAM_FLOOR, the squared
+    singular values of its amplitudes, which keep a product cut at
+    exactly 0.0.  The cut-entropy tables use the same side and kernel.
     """
     n = _pure(psi).num_sites
     side = sites_tuple(block, n)
-    if len(side) < n and (2 * len(side) > n or 2 * len(side) == n and side[0] != 0):
+    if len(side) >= n:
+        raise IndexOutOfRange("side A must be a proper subset of the sites")
+    if 2 * len(side) > n or 2 * len(side) == n and side[0] != 0:
         side = tuple(s for s in range(n) if s not in side)
-    return float(_linear_entropy_rows(schmidt_weights(psi, side)[None, :])[0])
+    return float(_cut_entropies(_amplitude_matrix(psi, side)[None])[0])
 
 
 def _negativity_of_spectrum(ev: np.ndarray) -> float:
@@ -221,17 +257,18 @@ def _cut_entropy_tables(states: list[PureState], max_size: int) -> np.ndarray:
     """S_L(B) for every block bitmask B (bit i = site i) of up to max_size
     sites, one row per state; the states share one site count.
 
-    One SVD per unordered cut, on the side linear_entropy_pure takes
-    (blocks of 1 .. min(max_size, n // 2) sites), fills B and its
-    complement, so every entry equals linear_entropy_pure(psi, block)
-    bit for bit; entries not filled hold inf.  Each state's memo keeps
-    its table and the block size it is filled to.  The cuts of one size
-    go into stacked SVD calls of at most SVD_AMPLITUDES amplitudes.
+    One value per unordered cut, from _cut_entropies of the side
+    linear_entropy_pure takes (blocks of 1 .. min(max_size, n // 2)
+    sites), fills B and its complement, so every entry equals
+    linear_entropy_pure(psi, block) bit for bit; entries not filled hold
+    inf.  Each state's memo keeps its table and the block size it is
+    filled to.  The cuts of one size go into stacked calls (one Gram
+    product, one eigvalsh) of at most CUT_AMPLITUDES amplitudes.
     """
     n = states[0].num_sites
     filled, tables = zip(*(psi._memo.get("cut_entropy") or (0, np.full(1 << n, np.inf))
                            for psi in states))
-    cuts = max(1, SVD_AMPLITUDES >> n)  # cuts one SVD call may hold
+    cuts = max(1, CUT_AMPLITUDES >> n)  # cuts one call may hold
     for size in range(1, min(max_size, n // 2) + 1):
         cold = [i for i, size_filled in enumerate(filled) if size_filled < size]
         if not cold:
@@ -247,10 +284,7 @@ def _cut_entropy_tables(states: list[PureState], max_size: int) -> np.ndarray:
                 stack = np.empty((len(chunk), len(group), 2**size, 2 ** (n - size)), dtype=complex)
                 for mats, order in zip(stack, chunk):
                     mats.reshape((len(group),) + (2,) * n)[...] = tensors.transpose(order)
-                sing = np.linalg.svd(stack, compute_uv=False)
-                lam = np.clip(sing, 0.0, None).reshape(-1, sing.shape[-1]) ** 2
-                ent = _linear_entropy_rows(lam).reshape(len(chunk), len(group))
-                for i, column in zip(group, ent.T):
+                for i, column in zip(group, _cut_entropies(stack).T):
                     tables[i][masks[:, start : start + per_call]] = column
         for i in cold:
             states[i]._memo["cut_entropy"] = (size, tables[i])
@@ -378,8 +412,8 @@ def _kme_minima(tables: np.ndarray, n: int, k: int) -> list[tuple[float, Partiti
 
 def kme_concurrence_stack(states, k: int) -> tuple[MeasureReport, ...]:
     """kme_concurrence_pure(psi, k) for each pure state of a sequence, bit
-    for bit; the states of each site count share stacked SVD calls for
-    their tables and one DP with a leading state axis.  Raises
+    for bit; the states of each site count share stacked Gram eigensolves
+    for their tables and one DP with a leading state axis.  Raises
     IncompatibleInput for anything but a sequence of pure states, and
     OutOfRange as kme_concurrence_pure does for any of them."""
     try:
@@ -408,7 +442,7 @@ def kme_concurrence_pure(psi: PureState, k: int) -> MeasureReport:
     Uses the state's cut-entropy table (blocks of up to n - k + 1 sites,
     built on first use and shared by later calls on the same state) and
     a subset DP instead of a scan over the S(n, k) partitions, so n = 12,
-    k = 6 takes seconds.  Each partition's block entropies are summed
+    k = 6 takes well under a second.  Each partition's block entropies are summed
     right-nested, S(B_1) + (S(B_2) + (... + S(B_k))), with blocks ordered
     by their smallest site, and the value is bit for bit the least
     rounded sqrt(2/k * sum) a scan over those sums would find.  Among

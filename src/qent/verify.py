@@ -112,6 +112,7 @@ VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_INEQ = "inequality-satisfied"
 VERDICT_SKIP = "skip"
+_VERDICTS = (VERDICT_PASS, VERDICT_FAIL, VERDICT_INEQ, VERDICT_SKIP)
 
 # format of every float in the report CSV, 17 digits so that it reads back exactly
 CSV_PRECISION = ".17g"
@@ -139,6 +140,10 @@ def _csv_text(rows) -> str:
 
 @dataclass(frozen=True)
 class RelationCheckResult:
+    """One report row: finite lhs and rhs, a residual and tolerance >= 0
+    and one of the four VERDICT_* values; built directly, InputError for
+    anything else."""
+
     relation: RelationId
     state_descriptor: str
     lhs: float
@@ -147,6 +152,16 @@ class RelationCheckResult:
     tolerance: float
     verdict: str
     condition_note: str = ""
+
+    def __post_init__(self):
+        _kind(self.relation, RelationId, "a RelationId", InputError)
+        _kind(self.state_descriptor, str, "a state descriptor string", InputError)
+        for name, lo in (("lhs", None), ("rhs", None), ("residual", 0.0), ("tolerance", 0.0)):
+            object.__setattr__(self, name, _real(getattr(self, name), name, lo, error=InputError))
+        if _kind(self.verdict, str, "a verdict string", InputError) not in _VERDICTS:
+            raise InputError(f"verdict must be one of {', '.join(_VERDICTS)}, "
+                             f"got {brief(self.verdict)}")
+        _kind(self.condition_note, str, "a condition note string", InputError)
 
 
 @dataclass(frozen=True)
@@ -235,9 +250,8 @@ def _row(relation: RelationId, desc: str, lhs: float, rhs: float, tol: float,
         verdict = VERDICT_INEQ if lhs >= rhs - tol else VERDICT_FAIL
     else:
         verdict = VERDICT_PASS if residual <= tol else VERDICT_FAIL
-    return RelationCheckResult(
-        relation, desc, float(lhs), float(rhs), float(residual), float(tol), verdict, note
-    )
+    return _trusted(RelationCheckResult, relation, desc, float(lhs), float(rhs), float(residual),
+                    float(tol), verdict, note)
 
 
 # A checker is a plain function (payloads, tol, tangle_tol) -> one list
@@ -716,7 +730,14 @@ def _random_rank2(na: int, nb: int, seed: int) -> PureState:
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """The rows of a suite run; built directly, InputError unless results
+    is a tuple of RelationCheckResult."""
+
     results: tuple[RelationCheckResult, ...]
+
+    def __post_init__(self):
+        for r in _kind(self.results, tuple, "a tuple of RelationCheckResult", InputError):
+            _kind(r, RelationCheckResult, "a RelationCheckResult", InputError)
 
     @property
     def failures(self) -> tuple[RelationCheckResult, ...]:
@@ -800,4 +821,4 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         while group := list(itertools.islice(cases, SUITE_GROUP_CASES)):
             results += _run_group(rel, group, spec["tolerance"], spec.get("tangle_tolerance"))
     results.sort(key=lambda r: (r.relation.value, r.state_descriptor))
-    return SuiteReport(tuple(results))
+    return _trusted(SuiteReport, tuple(results))

@@ -24,7 +24,10 @@ from qent import (
     OutOfDomain,
     Partition,
     QentError,
+    RelationCheckResult,
+    RelationId,
     SchmidtSpectrum,
+    SuiteReport,
     ghz,
     invariants3,
     invariants4,
@@ -120,12 +123,44 @@ def test_an_argument_of_another_kind_is_refused(call, error, message):
     lambda: SchmidtSpectrum(3),
     lambda: SchmidtSpectrum((0.5j, 0.5)),
     lambda: SchmidtSpectrum(((0.5, 0.5),)),
+    # SuiteReport(None).to_csv() ended in TypeError and SuiteReport((3,)).to_csv() in AttributeError
+    lambda: SuiteReport(None),
+    lambda: SuiteReport((3,)),
+    lambda: SuiteReport([_row()]),
+    # a str relation was kept, and to_csv() ended in AttributeError
+    lambda: _row(relation="R1"),
+    lambda: _row(state_descriptor=None),
+    lambda: _row(lhs=float("nan")),
+    lambda: _row(rhs="0.5"),
+    lambda: _row(residual=-1e-3),
+    lambda: _row(tolerance=None),
+    lambda: _row(verdict="maybe"),
+    lambda: _row(verdict=np.ones(3)),
+    lambda: _row(condition_note=3),
 ], ids=["name", "nan", "negative", "str_value", "raw_blocks", "profile_none", "profile_nan",
         "profile_above_1", "profile_str", "schmidt_none", "schmidt_int", "schmidt_complex",
-        "schmidt_2d"])
+        "schmidt_2d", "report_none", "report_int_row", "report_list", "row_str_relation",
+        "row_descriptor_none", "row_nan", "row_str_value", "row_negative_residual",
+        "row_tolerance_none", "row_unknown_verdict", "row_array_verdict", "row_int_note"])
 def test_a_result_built_directly_is_checked(build):
     with pytest.raises(InputError):
         build()
+
+
+def _row(**fields):
+    """A RelationCheckResult of valid fields but those given."""
+    valid = {"relation": RelationId.R1, "state_descriptor": "d", "lhs": 0.5, "rhs": 0.5,
+             "residual": 0.0, "tolerance": 1e-9, "verdict": "pass", "condition_note": ""}
+    return RelationCheckResult(**{**valid, **fields})
+
+
+def test_a_suite_report_built_directly_keeps_python_numbers():
+    row = _row(lhs=np.float64(0.5), rhs=1, residual=np.float32(0.5))
+    assert (row.lhs, row.rhs, row.residual) == (0.5, 1.0, 0.5)
+    assert all(type(v) is float for v in (row.lhs, row.rhs, row.residual, row.tolerance))
+    report = SuiteReport((row, _row(verdict="fail")))
+    assert report.exit_code == 1 and report.to_csv().count("\n") == 3
+    assert SuiteReport(()).to_csv().count("\n") == 1
 
 
 def test_a_result_built_directly_keeps_python_numbers():

@@ -1,8 +1,10 @@
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 import pytest
 from oracles import (
+    k_partitions_brute,
     kme_brute,
     kme_scan,
     negativity_trace_norm,
@@ -41,7 +43,7 @@ from qent import (
     wootters_concurrence,
 )
 from qent import IncompatibleInput, kme_concurrence_stack, random_pure
-from qent.measures import (FACTORED_RANK_RATIO, SVD_AMPLITUDES, _cut_entropy_tables,
+from qent.measures import (CUT_AMPLITUDES, FACTORED_RANK_RATIO, GRAM_FLOOR, _cut_entropy_tables,
                            transposed_profile)
 from qent.qstate import clamped_sqrt, density_factor
 
@@ -327,16 +329,18 @@ class TestKmeStack:
             assert _stacked(stack, k) == [_alone(psi, k) for psi in stack], k
         assert _stacked(states, 2) == [_alone(psi, 2) for psi in states]  # all warm
 
-    def test_one_svd_call_per_block_size(self, monkeypatch):
+    def test_one_eigvalsh_call_per_block_size(self, monkeypatch):
         calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.size) or svd(a, **kw))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, **kw: calls.append(a.shape) or eigvalsh(a, **kw))
         states = [random_pure(3, seed) for seed in range(40)]
         kme_concurrence_stack(states, 2)
         assert len(calls) == 1  # one-site blocks, which fill their two-site complements too
         calls.clear()
         kme_concurrence_stack([random_pure(8, seed) for seed in range(64)], 2)
-        assert max(calls) <= SVD_AMPLITUDES
+        # each Gram matrix stands for one cut's 2^8 amplitudes
+        assert max(int(np.prod(shape[:-2])) for shape in calls) * 2**8 <= CUT_AMPLITUDES
 
     def test_refusals(self):
         psi = random_pure(3, 1)
@@ -356,8 +360,9 @@ def _table_states(rng, n):
 
 
 class TestCutEntropyTables:
-    """One SVD per unordered cut fills a block and its complement; every
-    entry equals linear_entropy_pure of its block bit for bit (==)."""
+    """One Gram eigensolve per unordered cut fills a block and its
+    complement; every entry equals linear_entropy_pure of its block bit
+    for bit (==)."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("order", ["descending", "two first", "n then two"])
@@ -377,16 +382,94 @@ class TestCutEntropyTables:
         # k = 2 needs every block of 1 .. n - 1 sites
         assert np.isfinite(tables[:, 1:-1]).all() and (tables[:, [0, -1]] == np.inf).all()
 
-    def test_no_svd_of_more_than_half_the_sites(self, rng, monkeypatch):
-        shapes, svd = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+    def test_no_gram_of_more_than_half_the_sites(self, rng, monkeypatch):
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, **kw: shapes.append(a.shape) or eigvalsh(a, **kw))
         kme_concurrence_pure(PureState(random_state_vector(10, rng), 10), 10)
-        assert {shape[-2:] for shape in shapes} == {(2, 512)}  # one-site blocks only
+        assert {shape[-2:] for shape in shapes} == {(2, 2)}  # one-site blocks only
         for n in (5, 6, 7):
             shapes.clear()
             kme_concurrence_pure(PureState(random_state_vector(n, rng), n), 2)
             assert max(rows for *_, rows, _ in shapes) == 2 ** (n // 2)
-            assert all(rows <= cols for *_, rows, cols in shapes)
+
+
+# how far a k-ME value may move from the SVD route's, from GRAM_FLOOR's derivation
+GRAM_KME_BOUND = 1e-12
+
+
+def _svd_entropy(psi, block) -> float:
+    """2 sum_{i<j} lam_i lam_j over the squared singular values of the
+    amplitudes with the block's sites as rows, summed pair by pair."""
+    n = psi.num_sites
+    rest = [s for s in range(n) if s not in block]
+    m = psi.tensor().transpose(list(block) + rest).reshape(2 ** len(block), -1)
+    lam = np.linalg.svd(m, compute_uv=False) ** 2
+    return 2.0 * sum(lam[i] * lam[j] for i, j in combinations(range(len(lam)), 2))
+
+
+def _kme_svd_oracle(psi, partitions) -> dict[int, float]:
+    """For each k, the least sqrt(2/k * sum of _svd_entropy) over every
+    k-partition of partitions[k]."""
+    n = psi.num_sites
+    entropy = {b: _svd_entropy(psi, b) for size in range(1, n)
+               for b in combinations(range(n), size)}
+    return {k: min(np.sqrt(2.0 / k * sum(entropy[tuple(b)] for b in part)) for part in parts)
+            for k, parts in partitions.items()}
+
+
+def _near_product(rng, n) -> PureState:
+    """product + eps * perturbation, normalized, with eps log-uniform in
+    [1e-12, 0.3]: the sites fall into random groups, each a random
+    state, so cuts of every size are near product."""
+    labels = rng.integers(0, rng.integers(2, n + 1), size=n)
+    order = np.argsort(labels, kind="stable")
+    sizes = [int(np.sum(labels == g)) for g in np.unique(labels)]
+    product = reduce(np.kron, [random_state_vector(c, rng) for c in sizes])
+    product = product.reshape((2,) * n).transpose(np.argsort(order)).ravel()
+    v = product + 10 ** rng.uniform(-12, np.log10(0.3)) * random_state_vector(n, rng)
+    return PureState(v / np.linalg.norm(v), n)
+
+
+class TestGramRoute:
+    """Cut entropies come from the Gram eigenvalues, and from the SVD
+    below GRAM_FLOOR, so k-ME stays within GRAM_KME_BOUND of the SVD
+    route and small and zero cuts keep their SVD values."""
+
+    def test_floor_meets_its_derivation(self):
+        # the Gram route's rounding bound: 3 d u for Gram matrices of d <= 2^7 rows
+        delta = 3 * 2**7 * 2.0**-53
+        assert GRAM_FLOOR >= delta**2 / (2 * GRAM_KME_BOUND**2) + delta
+
+    def test_near_product_sweep_matches_the_svd_route(self):
+        rng = np.random.default_rng(2025)
+        partitions = {n: {k: k_partitions_brute(n, k) for k in range(2, n + 1)} for n in range(2, 7)}
+        worst = 0.0
+        for _ in range(600):
+            psi = _near_product(rng, int(rng.integers(2, 7)))
+            for k, want in _kme_svd_oracle(psi, partitions[psi.num_sites]).items():
+                worst = max(worst, abs(kme_concurrence_pure(psi, k).value - want))
+        assert worst <= GRAM_KME_BOUND
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_product_cuts_are_exactly_zero(self, n):
+        one_ghz = make_pure(np.kron([0, 1], ghz(n - 1).amplitudes), n)
+        w_zero = make_pure(np.kron(w(n - 1).amplitudes, [1, 0]), n)
+        basis = make_pure(np.eye(2**n)[5], n)
+        assert linear_entropy_pure(one_ghz, 0) == linear_entropy_pure(w_zero, n - 1) == 0.0
+        assert kme_concurrence_pure(one_ghz, 2).value == kme_concurrence_pure(w_zero, 2).value == 0.0
+        assert {kme_concurrence_pure(basis, k).value for k in range(2, n + 1)} == {0.0}
+
+    def test_random_product_states_stay_near_zero(self, rng):
+        # the Gram route alone reads ~1e-16 here, which sqrt turns into ~1e-8
+        for n in range(2, 9):
+            psi = make_pure(reduce(np.kron, [random_state_vector(1, rng) for _ in range(n)]), n)
+            assert max(kme_concurrence_pure(psi, k).value for k in range(2, n + 1)) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_ghz_cuts_are_one_half(self, n):
+        tables = _cut_entropy_tables([ghz(n)], n - 1)[0]
+        assert np.abs(tables[1:-1] - 0.5).max() <= 1e-15
 
 
 class TestNmeLowerBound:

@@ -47,10 +47,10 @@ from test_integers import SOURCES, _name
 # `qent verify --default --seed 7 --csv`, per OpenBLAS core: the cores
 # round some values differently (each measured with OPENBLAS_CORETYPE)
 SEED7_CSV_SHA256 = {
-    "SkylakeX": "283291a32a9fc5ecd860645da3d0e716f194281a4ffc36191a25a3d2307dfe0d",
-    "Haswell": "f47d7909844056d541c5b620f4e049b6a133a5def4e260432a29f90ce8b7dc3f",
-    "Sandybridge": "2f4f3ba0f1860a2a6f8eb3ab4cbffc2deb0b8dcdc3727b9ff7de3c4dd85923cb",
-    "Nehalem": "68c35b251ae6540bb9a668a123bb1db5fd0375705fdcaeba1aa59e4a30808054",
+    "SkylakeX": "d5ec73c7888df3806d2d84b2b1362175649367f4bad52aec3f79b0962506b5eb",
+    "Haswell": "310d9a6cb3f1aa70f686ebf1009cc205cf5a00396939c194e7385bc484f93310",
+    "Sandybridge": "c439b7f17b65704e3f20a68f328d35db206c2b1a82bcd7873aeef3ad965411bb",
+    "Nehalem": "7c4a987af5e587d3cfe5b6aed441cc60e36c5f588a59875268ed8fa81168d7e8",
 }
 
 
@@ -487,6 +487,16 @@ class TestTrustBoundary:
         assert validations == {"PureState": [], "DensityMatrix": [], "Partition": [],
                                "MeasureReport": [], "NegativityProfile": []}
 
+    def test_default_suite_checks_no_row_it_built(self, monkeypatch):
+        checked = []
+        for cls in (verify.RelationCheckResult, verify.SuiteReport):
+            monkeypatch.setattr(cls, "__post_init__", lambda obj: checked.append(obj))
+        verify.SuiteReport(())
+        assert len(checked) == 1  # the counter is live
+        checked.clear()
+        assert len(run_suite(SuiteConfig.default(seed=7)).results) == 2679
+        assert checked == []
+
     @pytest.mark.parametrize("build,factored", [
         (lambda: random_mixed(6, 3, 17), True),  # rank 3: spectrum computed on first use
         (lambda: ghz_noise(4, 0.6), False),  # full rank: transposing fallback
@@ -531,7 +541,8 @@ class TestTrustBoundary:
         assert hashlib.sha256(got[0].encode()).hexdigest() == _seed7_sha256()
         assert got == want
         assert set(built) == {"PureState", "DensityMatrix", "Partition", "Invariants3",
-                              "Invariants4", "MeasureReport", "NegativityProfile"}
+                              "Invariants4", "MeasureReport", "NegativityProfile",
+                              "RelationCheckResult", "SuiteReport"}
 
     def test_only_the_builder_skips_init(self):
         """No module in src/qent calls __new__ but qstate._trusted."""
