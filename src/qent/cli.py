@@ -143,6 +143,8 @@ def _cmd_measure(args) -> int:
     for m in wanted:
         if m not in _MEASURES:
             raise InputError(f"unknown measure {m!r}; choose from {tuple(_MEASURES)}")
+    if args.k is not None and "kme" not in wanted:
+        raise InputError("--k applies only to the kme measure")
     ks = _parse_k_list(args.k) if args.k else None
     return _report(state, descriptor, wanted, ks, args.csv)
 
@@ -180,6 +182,8 @@ def _cmd_family(args) -> int:
 
 def _cmd_random(args) -> int:
     if args.kind == "pure":
+        if args.rank is not None:
+            raise InputError("--rank applies only to --kind mixed")
         state = random_pure(args.sites, args.seed)
     else:
         rank = args.rank if args.rank is not None else 2

@@ -37,6 +37,10 @@ FAMILY_LABELS = {
 # number of free complex parameters per family
 FAMILY_PARAM_COUNTS = {1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 1, 7: 0, 8: 0, 9: 0}
 
+# most qubits of a ghz_noise density matrix: it builds dense 2^n x 2^n
+# arrays, 256 MiB each at n = 12 and 1 GiB at n = 13
+GHZ_NOISE_MAX_SITES = 12
+
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -136,8 +140,9 @@ def w(n: int) -> PureState:
 def ghz_noise(n: int, t: float) -> DensityMatrix:
     """GHZ state mixed with white noise:
     (1 - t)/2^n * identity + t |GHZ_n><GHZ_n|; OutOfRange unless n is an
-    integer in [2, MAX_SITES] and t a real number in [0, 1]."""
-    n = _integer(n, "ghz_noise n", 2, MAX_SITES)
+    integer in [2, GHZ_NOISE_MAX_SITES] and t a real number in [0, 1],
+    before anything is allocated."""
+    n = _integer(n, "ghz_noise n", 2, GHZ_NOISE_MAX_SITES)
     t = _real(t, "ghz_noise t", 0, 1)
     g = ghz(n).amplitudes
     m = (1.0 - t) / 2**n * np.eye(2**n) + t * np.outer(g, g.conj())

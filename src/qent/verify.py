@@ -12,9 +12,9 @@ descriptor joined to the row's label.  check() evaluates one relation
 on one payload, a group of one, once _admit(), its only door, has
 checked and capped the payload and made its case.  run_suite() drives a
 configurable batch over fixed anchor states plus seeded random families
-through the same dispatch, serially, streaming each relation's
-_relation_cases in groups, and aggregates a deterministic report.  Its
-SuiteConfig is checked in full when built, so _relation_cases only
+through the same dispatch, serially, streaming in groups the cases of
+each relation's _RELATIONS entry, and aggregates a deterministic report.
+Its SuiteConfig is checked in full when built, so a case generator only
 generates cases, as run_suite asks for them.
 
 Relations:
@@ -402,27 +402,125 @@ def _check_r9(payload, tol: float, tangle_tol: float):
     return [("", lhs, rhs, tol, {"note": f"schmidt rank {rank}"})]
 
 
+# A case generator is a function (spec, seed) -> (payload, descriptor)
+# pairs, each case and its state built only when it is asked for;
+# seed(i) is the relation's i-th seed under the suite seed.
+
+
+def _r1_cases(spec: dict, seed: Callable):
+    yield slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)"
+    yield ghz(4), "ghz n=4"
+    for n in spec["sizes"]:
+        for i in range(spec["samples"]):
+            yield random_pure(n, seed(n * 1000 + i)), f"random n={n} #{i:03d}"
+
+
+def _r2_cases(spec: dict, seed: Callable):
+    gn, gt = 3, 0.6
+    basis = np.eye(2**gn, dtype=complex)
+    states = [ghz(gn)] + [_trusted(PureState, basis[z], gn) for z in range(2**gn)]
+    weights = [gt] + [(1 - gt) / 2**gn] * 2**gn
+    yield Ensemble(tuple(weights), tuple(states)), f"ghz_noise ensemble n={gn} t={gt}"
+    for n, rank, i in itertools.product(spec["sizes"], spec["ranks"], range(spec["samples"])):
+        s = seed(n * 10000 + rank * 100 + i)
+        yield random_ensemble(n, rank, s), f"random n={n} rank={rank} #{i:03d}"
+
+
+def _r3_cases(spec: dict, seed: Callable):
+    for n in spec["sizes"]:
+        lo = ghz_noise_threshold(n)
+        for i, tvis in enumerate(np.linspace(lo, 1.0, spec["t_points"])):
+            yield (n, float(tvis)), f"grid n={n} #{i:02d}"
+        rng = np.random.default_rng(seed(n))
+        for i in range(spec["random_t"]):
+            yield (n, float(rng.uniform(lo, 1.0))), f"random-t n={n} #{i:02d}"
+
+
+def _three_qubit_cases(spec: dict, seed: Callable):
+    yield ghz(3), "ghz n=3"
+    yield w(3), "w n=3"
+    for i in range(spec["samples"]):
+        yield random_pure(3, seed(i)), f"random n=3 #{i:03d}"
+
+
+def _r6_cases(spec: dict, seed: Callable):
+    yield slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)"
+    yield slocc_family(FamilyParams(7)), "family L_0(5+3)"
+    for i in range(spec["samples"]):
+        yield random_pure(4, seed(i)), f"random n=4 #{i:03d}"
+
+
+def _r7_cases(spec: dict, seed: Callable):
+    for fam in spec["families"]:
+        points = _custom_grid(spec["grids"] or {}, fam) or default_parameter_grid(fam)
+        for i, params in enumerate(points):
+            yield params, f"family {fam} grid #{i:02d}"
+        rng = np.random.default_rng(seed(fam))
+        nparams = FAMILY_PARAM_COUNTS[fam]
+        for i in range(spec["random_points"] if nparams else 0):
+            vals = rng.uniform(-1.2, 1.2, size=(4, 2))
+            args = [complex(re, im) for re, im in vals][:nparams]
+            yield FamilyParams(fam, *args), f"family {fam} random #{i:02d}"
+
+
+def _r8_cases(spec: dict, seed: Callable):
+    for n in spec["sizes"]:
+        yield ("w_kme", n), f"w n={n}"
+    yield ("w_two_tangle", np.ones(3) / np.sqrt(3)), "uniform w n=3"
+    for i in range(spec["samples"]):
+        n = [3, 4, 5, 6][i % 4]
+        coeffs = _complex_normal(np.random.default_rng(seed(i)), n)
+        coeffs /= np.linalg.norm(coeffs)
+        yield ("w_two_tangle", coeffs), f"random coeffs n={n} #{i:03d}"
+
+
+def _r9_cases(spec: dict, seed: Callable):
+    bell = _trusted(PureState, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), 2)
+    yield (bell, (0,)), "bell cut 1|1"
+    for ci, (na, nb) in enumerate(spec["cuts"]):
+        for i in range(spec["samples"]):
+            psi = _random_rank2(na, nb, seed(ci * 1000 + i))
+            yield (psi, tuple(range(na))), f"rank2 cut {na}|{nb} #{i:03d}"
+
+
+def _random_rank2(na: int, nb: int, seed: int) -> PureState:
+    """Random pure state with Schmidt rank exactly 2 across the first na sites."""
+    rng = np.random.default_rng(seed)
+    da, db = 2**na, 2**nb
+    qa = np.linalg.qr(_complex_normal(rng, (da, 2)))[0]
+    qb = np.linalg.qr(_complex_normal(rng, (db, 2)))[0]
+    lam = rng.uniform(0.05, 0.95)
+    v = np.sqrt(lam) * np.kron(qa[:, 0], qb[:, 0]) + np.sqrt(1 - lam) * np.kron(
+        qa[:, 1], qb[:, 1]
+    )
+    return _unit_state(v, na + nb)
+
+
 class _Relation(NamedTuple):
     checker: Callable
     tolerance: float  # default tolerance of the rows that are not tangle rows
     spec: dict  # every key of a suite spec but "tolerance", with its default
+    cases: Callable  # its case generator
 
 
 # relation -> its one entry; the order is the default suite's
 _RELATIONS: dict[str, _Relation] = {
-    "R1": _Relation(_check_r1, TOL_EQUALITY, {"sizes": [2, 3, 4, 5], "samples": 15}),
-    "R2": _Relation(_check_r2, TOL_EQUALITY, {"sizes": [2, 3], "ranks": [2, 3], "samples": 8}),
+    "R1": _Relation(_check_r1, TOL_EQUALITY, {"sizes": [2, 3, 4, 5], "samples": 15}, _r1_cases),
+    "R2": _Relation(_check_r2, TOL_EQUALITY, {"sizes": [2, 3], "ranks": [2, 3], "samples": 8},
+                    _r2_cases),
     "R3": _Relation(_per_payload(_check_r3), TOL_EQUALITY,
-                    {"sizes": [2, 3, 4, 5], "t_points": 21, "random_t": 5}),
-    "R4": _Relation(_check_r4, TOL_EQUALITY, {"samples": 60}),
-    "R5": _Relation(_check_r5, TOL_EQUALITY, {"samples": 60, "tangle_tolerance": None}),
-    "R6": _Relation(_check_r6, TOL_EQUALITY, {"samples": 60}),
+                    {"sizes": [2, 3, 4, 5], "t_points": 21, "random_t": 5}, _r3_cases),
+    "R4": _Relation(_check_r4, TOL_EQUALITY, {"samples": 60}, _three_qubit_cases),
+    "R5": _Relation(_check_r5, TOL_EQUALITY, {"samples": 60, "tangle_tolerance": None},
+                    _three_qubit_cases),
+    "R6": _Relation(_check_r6, TOL_EQUALITY, {"samples": 60}, _r6_cases),
     "R7": _Relation(_check_r7, TOL_FAMILY,
-                    {"families": [1, 2, 3, 4, 5, 6, 7, 8, 9], "random_points": 4, "grids": None}),
+                    {"families": [1, 2, 3, 4, 5, 6, 7, 8, 9], "random_points": 4, "grids": None},
+                    _r7_cases),
     "R8": _Relation(_per_payload(_check_r8), TOL_EQUALITY,
-                    {"sizes": [3, 4, 5, 6], "samples": 8, "tangle_tolerance": None}),
+                    {"sizes": [3, 4, 5, 6], "samples": 8, "tangle_tolerance": None}, _r8_cases),
     "R9": _Relation(_per_payload(_check_r9), TOL_EQUALITY,
-                    {"samples": 25, "cuts": [[1, 1], [1, 2], [2, 2], [1, 3]]}),
+                    {"samples": 25, "cuts": [[1, 1], [1, 2], [2, 2], [1, 3]]}, _r9_cases),
 }
 
 # one member per relation, valued by its name
@@ -445,7 +543,7 @@ def _run_group(rel: RelationId, cases: list, tol: Optional[float],
     tangle_tol if given, else tol, else TOL_TANGLE.  Every other row uses
     tol if given, else the relation's default.
     """
-    checker, default_tol, _ = _RELATIONS[rel]
+    checker, default_tol = _RELATIONS[rel][:2]
     if tangle_tol is None:
         tangle_tol = TOL_TANGLE if tol is None else tol
     per_case = checker([payload for payload, _ in cases], default_tol if tol is None else tol,
@@ -613,8 +711,7 @@ class SuiteConfig:
             spec = _kind({} if spec is None else spec, dict, f"an object for relation {name} spec",
                          ConfigError)
             defaults = {"tolerance": None, **_RELATIONS[name].spec}
-            bad = set(spec) - set(defaults)
-            if bad:
+            if bad := set(spec) - set(defaults):
                 raise ConfigError(f"relation {name} has unknown keys {brief(sorted(bad))}")
             spec = {key: _spec_value(name, key, value) for key, value in spec.items()}
             merged = copy.deepcopy({**defaults, **spec})
@@ -623,7 +720,10 @@ class SuiteConfig:
                 raise ConfigError(f"relation {name} ranks must be at most 2^n for every size n")
             grids = _kind(merged.get("grids") or {}, dict,
                           f"{name} grids as a map of family ids to lists", ConfigError)
-            for fam in merged.get("families", ()):
+            families = merged.get("families", ())
+            if stray := [key for key in grids if key not in {*families, *map(str, families)}]:
+                raise ConfigError(f"{name} grids name no listed family: {brief(stray)}")
+            for fam in families:
                 _custom_grid(grids, fam)
             normalized[name] = merged
         object.__setattr__(self, "relations", normalized)
@@ -638,94 +738,9 @@ class SuiteConfig:
             payload = json.loads(text)
         except (TypeError, ValueError) as exc:  # not text, bad JSON, or an int of over 4300 digits
             raise ConfigError(f"invalid JSON: {exc}") from exc
-        bad = set(_kind(payload, dict, "a JSON object", ConfigError)) - {"seed", "relations"}
-        if bad:
+        if bad := set(_kind(payload, dict, "a JSON object", ConfigError)) - {"seed", "relations"}:
             raise ConfigError(f"unknown top-level keys {sorted(bad)}")
         return cls(**payload)
-
-
-def _relation_cases(rel: RelationId, spec: dict, base: int):
-    """(payload, descriptor) pairs of one relation's cases under seed `base`,
-    each case and its state built only when it is asked for."""
-    def seed_for(rel_no: int, i: int) -> int:
-        return base * 1_000_003 + rel_no * 4099 + i
-
-    if rel is RelationId.R1:
-        yield slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)"
-        yield ghz(4), "ghz n=4"
-        for n in spec["sizes"]:
-            for i in range(spec["samples"]):
-                yield random_pure(n, seed_for(1, n * 1000 + i)), f"random n={n} #{i:03d}"
-    elif rel is RelationId.R2:
-        gn, gt = 3, 0.6
-        basis = np.eye(2**gn, dtype=complex)
-        states = [ghz(gn)] + [_trusted(PureState, basis[z], gn) for z in range(2**gn)]
-        weights = [gt] + [(1 - gt) / 2**gn] * 2**gn
-        yield Ensemble(tuple(weights), tuple(states)), f"ghz_noise ensemble n={gn} t={gt}"
-        for n in spec["sizes"]:
-            for rank in spec["ranks"]:
-                for i in range(spec["samples"]):
-                    s = seed_for(2, n * 10000 + rank * 100 + i)
-                    yield random_ensemble(n, rank, s), f"random n={n} rank={rank} #{i:03d}"
-    elif rel is RelationId.R3:
-        for n in spec["sizes"]:
-            lo = ghz_noise_threshold(n)
-            for i, tvis in enumerate(np.linspace(lo, 1.0, spec["t_points"])):
-                yield (n, float(tvis)), f"grid n={n} #{i:02d}"
-            rng = np.random.default_rng(seed_for(3, n))
-            for i in range(spec["random_t"]):
-                yield (n, float(rng.uniform(lo, 1.0))), f"random-t n={n} #{i:02d}"
-    elif rel in (RelationId.R4, RelationId.R5):
-        rel_no = 4 if rel is RelationId.R4 else 5
-        yield ghz(3), "ghz n=3"
-        yield w(3), "w n=3"
-        for i in range(spec["samples"]):
-            yield random_pure(3, seed_for(rel_no, i)), f"random n=3 #{i:03d}"
-    elif rel is RelationId.R6:
-        yield slocc_family(FamilyParams(9)), "family L_0(3+1)0(3+1)"
-        yield slocc_family(FamilyParams(7)), "family L_0(5+3)"
-        for i in range(spec["samples"]):
-            yield random_pure(4, seed_for(6, i)), f"random n=4 #{i:03d}"
-    elif rel is RelationId.R7:
-        for fam in spec["families"]:
-            points = _custom_grid(spec["grids"] or {}, fam) or default_parameter_grid(fam)
-            for i, params in enumerate(points):
-                yield params, f"family {fam} grid #{i:02d}"
-            rng = np.random.default_rng(seed_for(7, fam))
-            nparams = FAMILY_PARAM_COUNTS[fam]
-            for i in range(spec["random_points"] if nparams else 0):
-                vals = rng.uniform(-1.2, 1.2, size=(4, 2))
-                args = [complex(re, im) for re, im in vals][:nparams]
-                yield FamilyParams(fam, *args), f"family {fam} random #{i:02d}"
-    elif rel is RelationId.R8:
-        for n in spec["sizes"]:
-            yield ("w_kme", n), f"w n={n}"
-        yield ("w_two_tangle", np.ones(3) / np.sqrt(3)), "uniform w n=3"
-        for i in range(spec["samples"]):
-            n = [3, 4, 5, 6][i % 4]
-            coeffs = _complex_normal(np.random.default_rng(seed_for(8, i)), n)
-            coeffs /= np.linalg.norm(coeffs)
-            yield ("w_two_tangle", coeffs), f"random coeffs n={n} #{i:03d}"
-    elif rel is RelationId.R9:
-        bell = _trusted(PureState, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), 2)
-        yield (bell, (0,)), "bell cut 1|1"
-        for ci, (na, nb) in enumerate(spec["cuts"]):
-            for i in range(spec["samples"]):
-                psi = _random_rank2(na, nb, seed_for(9, ci * 1000 + i))
-                yield (psi, tuple(range(na))), f"rank2 cut {na}|{nb} #{i:03d}"
-
-
-def _random_rank2(na: int, nb: int, seed: int) -> PureState:
-    """Random pure state with Schmidt rank exactly 2 across the first na sites."""
-    rng = np.random.default_rng(seed)
-    da, db = 2**na, 2**nb
-    qa = np.linalg.qr(_complex_normal(rng, (da, 2)))[0]
-    qb = np.linalg.qr(_complex_normal(rng, (db, 2)))[0]
-    lam = rng.uniform(0.05, 0.95)
-    v = np.sqrt(lam) * np.kron(qa[:, 0], qb[:, 0]) + np.sqrt(1 - lam) * np.kron(
-        qa[:, 1], qb[:, 1]
-    )
-    return _unit_state(v, na + nb)
 
 
 @dataclass(frozen=True)
@@ -810,14 +825,17 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     """Run every configured relation check and aggregate a sorted report.
 
     Each checker call takes at most SUITE_GROUP_CASES consecutive cases of
-    one relation, generated only when asked for.  Results are sorted by
-    (relation, state descriptor), so reports are byte-identical for
-    identical configs.  Anything but a SuiteConfig raises ConfigError.
+    one relation, generated only when asked for; case i of relation Rj
+    under suite seed s has seed s * 1_000_003 + j * 4099 + i.  Results
+    are sorted by (relation, state descriptor), so reports are
+    byte-identical for identical configs.  Anything but a SuiteConfig
+    raises ConfigError.
     """
     results = []
     for name in sorted(_kind(config, SuiteConfig, "a SuiteConfig", ConfigError).relations):
         rel, spec = RelationId(name), config.relations[name]
-        cases = _relation_cases(rel, spec, config.seed)
+        base = config.seed * 1_000_003 + int(name[1:]) * 4099
+        cases = _RELATIONS[name].cases(spec, lambda i: base + i)
         while group := list(itertools.islice(cases, SUITE_GROUP_CASES)):
             results += _run_group(rel, group, spec["tolerance"], spec.get("tangle_tolerance"))
     results.sort(key=lambda r: (r.relation.value, r.state_descriptor))

@@ -296,6 +296,16 @@ class TestMeasureCommand:
         assert main(["measure", "--state", str(tmp_path / "absent.json")]) == 2
         assert "No such file or directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("measures", ["negativity", "negativity,nme-bound", "invariants4"])
+    def test_k_without_kme_exits_2(self, capsys, measures):
+        """--k sets only the kme measure, so without it --k is refused."""
+        assert main(["measure", "--family", "9", "--measures", measures, "--k", "2"]) == 2
+        assert "--k applies only to the kme measure" in capsys.readouterr().err
+
+    def test_k_with_kme_among_measures(self, capsys):
+        assert main(["measure", "--family", "9", "--measures", "negativity,kme", "--k", "2"]) == 0
+        assert "C_2-ME = " in capsys.readouterr().out
+
     def test_huge_k_echoed_short(self, capsys):
         assert main(["measure", "--family", "8", "--k", "9" * 35]) == 2
         err = capsys.readouterr().err
@@ -363,6 +373,13 @@ class TestRandomCommand:
         assert main(["random", "--kind", "mixed", "--sites", "2", "--rank", "2", "--seed", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "density"
+
+    def test_rank_of_a_pure_state_exits_2(self, capsys):
+        """--rank sets only a mixture's rank, so --kind pure refuses it."""
+        assert main(["random", "--kind", "pure", "--seed", "1", "--sites", "2", "--rank", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--rank applies only to --kind mixed" in captured.err
 
     @pytest.mark.parametrize("kind", ["pure", "mixed"])
     def test_negative_seed_exits_2(self, capsys, kind):

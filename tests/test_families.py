@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -108,6 +114,28 @@ class TestGhzNoise:
             ghz_noise(3, 1.5)
         with pytest.raises(OutOfRange):
             ghz_noise(1, 0.5)
+
+    def test_oversized_n_refused_before_allocating(self):
+        """n = 13 needs 1 GiB per dense 2^n x 2^n array.  ghz_noise runs in
+        a child process with 1 GiB of address space, where an allocation
+        would end in numpy's MemoryError, and refuses n = 13, 14 and a
+        huge n with OutOfRange at once."""
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        code = (
+            "from qent import OutOfRange, ghz_noise\n"
+            "for n in (13, 14, 10**35):\n"
+            "    try:\n"
+            "        ghz_noise(n, 0.5)\n"
+            "    except OutOfRange as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              preexec_fn=limit, timeout=10, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.splitlines()) == 3, done.stdout
 
 
 class TestGhzNoiseExactValue:

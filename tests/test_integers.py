@@ -58,8 +58,9 @@ NON_INTEGERS = {"bool": True, "float": 2.5, "str": "2", "None": None}
 BAD = {**NON_INTEGERS, "huge": 10**35}
 
 # entry point -> (call of one integer argument, a valid value, the error, the bad values)
-# ghz, w and ghz_noise cap n at 14, as the GHZ + noise and W closed forms do,
-# so a huge n is refused before 2^n or 4^n entries are allocated
+# ghz and w cap n at 14, as the GHZ + noise and W closed forms do, and
+# ghz_noise at 12, so a huge n is refused before 2^n or 4^n entries are
+# allocated; the cap of 14 alone would still allow 4^14 entries
 TABLE = {
     "sites_tuple": (lambda v: sites_tuple(v, 3), 1, IndexOutOfRange, BAD),
     "sites_tuple set": (lambda v: sites_tuple([0, v], 3), 2, IndexOutOfRange, BAD),

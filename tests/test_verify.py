@@ -239,6 +239,17 @@ class TestSuiteConfig:
         with pytest.raises(ConfigError):
             SuiteConfig(relations=relations)
 
+    @pytest.mark.parametrize("grids", [{"6": [[0.5]]}, {"x": 1}, {"12": "junk"}, {6: [[0.5]]}])
+    def test_grid_keys_must_name_a_listed_family(self, grids):
+        """A grid of an unlisted family would change nothing, so it is refused."""
+        with pytest.raises(ConfigError, match="grids name no listed family"):
+            SuiteConfig(relations={"R7": {"families": [1], "grids": grids}})
+
+    def test_grid_keys_of_listed_families(self):
+        grids = {"6": [[0.5]], 1: [[0.1], [0.2], [0.3], [0.4]]}
+        config = SuiteConfig(relations={"R7": {"families": [1, 6], "grids": grids}})
+        assert config.relations["R7"]["grids"] == grids
+
     @pytest.mark.parametrize("cuts", [[[1, 2, 3]], [1]])
     def test_r9_cuts_must_be_pairs(self, cuts):
         with pytest.raises(ConfigError, match="pairs"):
@@ -320,7 +331,7 @@ class TestRunSuite:
                                                "samples": 1000}})
         start = time.perf_counter()
         rel = RelationId.R2
-        payload, desc = next(verify._relation_cases(rel, config.relations[rel], config.seed))
+        payload, desc = next(verify._RELATIONS[rel].cases(config.relations[rel], lambda i: i))
         assert time.perf_counter() - start < 0.2
         assert (rel, desc) == (RelationId.R2, "ghz_noise ensemble n=3 t=0.6")
 
@@ -414,7 +425,9 @@ class TestSuiteGroups:
         suite_cases = [
             (rel, payload, desc, config.relations[rel]["tolerance"], None)
             for rel in map(RelationId, sorted(config.relations))
-            for payload, desc in verify._relation_cases(rel, config.relations[rel], config.seed)
+            for payload, desc in verify._RELATIONS[rel].cases(
+                config.relations[rel],
+                lambda i, rel=rel: config.seed * 1_000_003 + int(rel.value[1:]) * 4099 + i)
         ]
         assert sum(1 for case in suite_cases if case[0] == "R1") > 2 * 64
         alone = []
