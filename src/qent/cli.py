@@ -17,7 +17,8 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import InputError, QentError, brief
-from .families import FAMILY_LABELS, FamilyParams, family_closed_forms, slocc_family
+from .families import (FAMILY_LABELS, FAMILY_PARAM_COUNTS, FamilyParams, family_closed_forms,
+                       slocc_family)
 from .invariants import invariants3, invariants4
 from .measures import (
     kme_concurrence_pure,
@@ -53,12 +54,21 @@ def _parse_k_list(text: str) -> list[int]:
 
 
 def _family_from_args(args) -> FamilyParams:
-    return FamilyParams(args.family, *(_parse_complex(getattr(args, p)) for p in "abcd"))
+    """FamilyParams of --family and its --a..--d, 0 where one is not given;
+    InputError for a flag beyond the family's parameter count."""
+    count = FAMILY_PARAM_COUNTS[args.family]
+    if extra := [f"--{p}" for p in "abcd"[count:] if getattr(args, p) is not None]:
+        raise InputError(f"family {args.family} takes {count} parameters, "
+                         f"so {', '.join(extra)} would change nothing")
+    values = (getattr(args, p) for p in "abcd"[:count])
+    return FamilyParams(args.family, *(_parse_complex("0" if v is None else v) for v in values))
 
 
 def _resolve_state(args):
     """(state, descriptor) from --state FILE or --family ID [--a ...]."""
     if args.state is not None:
+        if given := [f"--{p}" for p in ("family", *"abcd") if getattr(args, p) is not None]:
+            raise InputError(f"{', '.join(given)} would change nothing with --state")
         return load_state(args.state), str(args.state)
     if args.family is not None:
         params = _family_from_args(args)
@@ -139,13 +149,13 @@ def _report(state, descriptor: str, measures: list[str], ks, csv_path) -> int:
 
 def _cmd_measure(args) -> int:
     state, descriptor = _resolve_state(args)
-    wanted = [m.strip() for m in args.measures.split(",")] if args.measures else ["kme"]
+    wanted = ["kme"] if args.measures is None else [m.strip() for m in args.measures.split(",")]
     for m in wanted:
         if m not in _MEASURES:
             raise InputError(f"unknown measure {m!r}; choose from {tuple(_MEASURES)}")
     if args.k is not None and "kme" not in wanted:
         raise InputError("--k applies only to the kme measure")
-    ks = _parse_k_list(args.k) if args.k else None
+    ks = None if args.k is None else _parse_k_list(args.k)
     return _report(state, descriptor, wanted, ks, args.csv)
 
 
@@ -198,8 +208,9 @@ def _cmd_random(args) -> int:
 
 def _parse_grid_spec(text: str) -> list[list[float]]:
     """Parse 're:lo:hi:steps,im:lo:hi:steps' into [re, im] grid values, at
-    most SUITE_MAX_COUNT of them, counted before any is formed."""
-    axes = {"re": [0.0], "im": [0.0]}
+    most SUITE_MAX_COUNT of them, counted before any is formed; an axis
+    not given is 0, and one given twice is refused."""
+    axes: dict[str, list[float]] = {}
     for part in text.split(","):
         fields = part.split(":")
         if len(fields) != 4 or fields[0] not in ("re", "im"):
@@ -207,6 +218,8 @@ def _parse_grid_spec(text: str) -> list[list[float]]:
                 f"grid spec {brief(text)} must look like re:lo:hi:steps[,im:lo:hi:steps]"
             )
         axis, lo, hi, steps = fields
+        if axis in axes:
+            raise InputError(f"grid spec {brief(text)} gives the {axis} axis twice")
         try:
             lo_f, hi_f, n = float(lo), float(hi), int(steps)
         except ValueError as exc:
@@ -214,9 +227,10 @@ def _parse_grid_spec(text: str) -> list[list[float]]:
         if not 1 <= n <= SUITE_MAX_COUNT:
             raise InputError(f"grid steps must be in [1, {SUITE_MAX_COUNT}] in {brief(part)}")
         axes[axis] = [lo_f + (hi_f - lo_f) * i / max(n - 1, 1) for i in range(n)]
-    if len(axes["re"]) * len(axes["im"]) > SUITE_MAX_COUNT:
+    re_values, im_values = axes.get("re", [0.0]), axes.get("im", [0.0])
+    if len(re_values) * len(im_values) > SUITE_MAX_COUNT:
         raise InputError(f"grid spec {brief(text)} has more than {SUITE_MAX_COUNT} values")
-    return [[re, im] for re in axes["re"] for im in axes["im"]]
+    return [[re, im] for re in re_values for im in im_values]
 
 
 def _cmd_verify(args) -> int:
@@ -227,9 +241,9 @@ def _cmd_verify(args) -> int:
         config = SuiteConfig()
     if args.seed is not None:
         config = SuiteConfig(args.seed, config.relations)
+    if (args.grid is None) != (args.grid_family is None):
+        raise InputError("--grid and --grid-family go together")
     if args.grid:
-        if args.grid_family is None:
-            raise InputError("--grid requires --grid-family")
         fam = args.grid_family
         r7 = config.relations.get("R7", {"families": [], "grids": None})
         families = r7["families"] if fam in r7["families"] else r7["families"] + [fam]
@@ -246,14 +260,15 @@ def _cmd_verify(args) -> int:
 
 def _add_state_args(parser: argparse.ArgumentParser, state_file: bool = True):
     """--state FILE (if state_file) and the --family/--a..--d flags;
-    without --state, --family is required."""
+    without --state, --family is required, and with it none of them is
+    given."""
     if state_file:
         parser.add_argument("--state", help="path to a state JSON file")
     parser.add_argument("--family", type=int, choices=sorted(FAMILY_LABELS),
                         required=not state_file, help="SLOCC family id 1..9")
-    parser.add_argument("--a", default="0", help="family parameter a (complex literal)")
+    parser.add_argument("--a", help="family parameter a (complex literal, default 0)")
     for p in "bcd":
-        parser.add_argument(f"--{p}", default="0", help=f"family parameter {p}")
+        parser.add_argument(f"--{p}", help=f"family parameter {p}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -305,8 +305,7 @@ def family_closed_forms(params: FamilyParams) -> ClosedFormPrediction:
 def _closed_forms(params: FamilyParams) -> ClosedFormPrediction:
     a, b, c, d = params.a, params.b, params.c, params.d
     fam = params.family_id
-    rule = "holds"
-    margin: Optional[float] = None
+    margin: Optional[float] = None  # of the C_2-ME = min_p N^p condition; None: unconditional
 
     if fam == 9:
         c2v, c3v, c4v = 0.0, np.sqrt(2 / 3), np.sqrt(3) / 2
@@ -340,7 +339,6 @@ def _closed_forms(params: FamilyParams) -> ClosedFormPrediction:
         c4v = clamped_sqrt(1 - 1 / s**2)
         neg = (c4v,) * 4
         margin = 1.5 - _sq(a)
-        rule = "conditional" if margin >= 0 else "fails"
     elif fam == 4:
         s = 3 * _sq(a) + _sq(b) + 2
         m = _family4_m(a, b)
@@ -352,7 +350,6 @@ def _closed_forms(params: FamilyParams) -> ClosedFormPrediction:
         c4v = clamped_sqrt(1 - (1 + 8 * _sq(a)) / s**2)
         neg = (c4v,) * 4
         margin = s**2 - m
-        rule = "conditional" if margin >= 0 else "fails"
     elif fam == 3:
         r = _sq(a) + _sq(b) + 1
         ab = _re(a * np.conj(b) + np.conj(a) * b)
@@ -369,7 +366,6 @@ def _closed_forms(params: FamilyParams) -> ClosedFormPrediction:
         n13 = clamped_sqrt(1 - 1 / r**2)
         neg = (n13, 1.0, n13, 1.0)
         margin = extra
-        rule = "conditional" if margin >= 0 else "fails"
     elif fam == 2:
         q = _sq(a) + _sq(b) + 2 * _sq(c) + 1
         ab, aux_t, cross_p, cross_m, quartic = _family2_pieces(a, b, c)
@@ -398,7 +394,6 @@ def _closed_forms(params: FamilyParams) -> ClosedFormPrediction:
             - _sq(b) ** 2
             - 4 * _sq(c),
         )
-        rule = "conditional" if margin >= 0 else "fails"
     else:  # fam == 1
         p = _sq(a) + _sq(b) + _sq(c) + _sq(d)
         if p < 1e-12:
@@ -420,10 +415,10 @@ def _closed_forms(params: FamilyParams) -> ClosedFormPrediction:
         neg = (1.0, 1.0, 1.0, 1.0)
         m = max(2 * quart, x / 4, y / 4)
         margin = p**2 - m
-        rule = "conditional" if margin >= 0 else "fails"
 
     if not np.isfinite([c2v, c3v, c4v, *neg, 0.0 if margin is None else margin]).all():
         raise OverflowError("a closed form is not finite")  # float products overflowed
+    rule = "holds" if margin is None else "conditional" if margin >= 0 else "fails"
     return ClosedFormPrediction(c2v, c3v, c4v, neg, rule, margin)
 
 

@@ -2,13 +2,15 @@
 
 Each RelationId names one quantitative relation among the measures.  A
 case is a (payload, descriptor) pair.  A relation's checker is a plain
-function from a list of trusted payloads and the tolerances to one list
-of bare rows (label, lhs, rhs, tolerance, row options) per payload; it
-knows neither its relation nor the cases' descriptors.  Checkers take
-k-ME for all their payloads from one measures.kme_concurrence_stack
-call per k.  _run_group() is the only dispatch: it calls the checker,
-and _run_case() stamps each case's rows with the relation and the
-descriptor joined to the row's label.  check() evaluates one relation
+function from a list of trusted payloads to one list of bare rows
+(label, lhs, rhs, row options) per payload; it only computes, and knows
+neither its relation, the cases' descriptors nor any tolerance.
+Checkers take k-ME for all their payloads from one
+measures.kme_concurrence_stack call per k.  _run_group() is the only
+dispatch: it resolves the tolerances and calls the checker, and
+_run_case() stamps each case's rows with the relation and the
+descriptor joined to the row's label; _row() alone judges a row against
+its tolerance.  check() evaluates one relation
 on one payload, a group of one, once _admit(), its only door, has
 checked and capped the payload and made its case.  run_suite() drives a
 configurable batch over fixed anchor states plus seeded random families
@@ -241,11 +243,17 @@ def random_local_unitary(seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _row(relation: RelationId, desc: str, lhs: float, rhs: float, tol: float,
-         inequality: bool = False, note: str = "", skip: bool = False) -> RelationCheckResult:
+def _row(relation: RelationId, desc: str, lhs: float, rhs: float, tols: tuple[float, float],
+         inequality: bool = False, note: str = "", skip: bool = False,
+         tangle: bool = False) -> RelationCheckResult:
+    """The report row of one comparison: tols is the (tol, tangle_tol)
+    pair, and a tangle row takes the second."""
+    tol = tols[tangle]
     residual = max(0.0, rhs - lhs) if inequality else abs(lhs - rhs)
     if skip:
         verdict = VERDICT_SKIP
+        if residual <= tol:
+            note += "; equality holds anyway"
     elif inequality:
         verdict = VERDICT_INEQ if lhs >= rhs - tol else VERDICT_FAIL
     else:
@@ -254,17 +262,16 @@ def _row(relation: RelationId, desc: str, lhs: float, rhs: float, tol: float,
                     float(tol), verdict, note)
 
 
-# A checker is a plain function (payloads, tol, tangle_tol) -> one list
-# of rows per payload, with both tolerances already resolved by
-# _run_group.  Its payloads are the suite's own or admitted by _admit,
-# so it only computes, and returns bare rows (label, lhs, rhs, tolerance,
-# options): the label is appended to the case's descriptor, and options
-# are _row's keywords.
+# A checker is a plain function payloads -> one list of rows per
+# payload.  Its payloads are the suite's own or admitted by _admit, so it
+# only computes, and returns bare rows (label, lhs, rhs, options): the
+# label is appended to the case's descriptor, and options are _row's
+# keywords; _row applies the tolerances.
 
 
 def _per_payload(checker: Callable) -> Callable:
     """A checker of payload lists from one that takes a single payload."""
-    return lambda payloads, tol, tangle_tol: [checker(p, tol, tangle_tol) for p in payloads]
+    return lambda payloads: [checker(p) for p in payloads]
 
 
 def _kme_values(states: list, ks: list) -> list[tuple[float, ...]]:
@@ -278,15 +285,15 @@ def _kme_values(states: list, ks: list) -> list[tuple[float, ...]]:
     return [tuple(v[k] for k in wanted) for v, wanted in zip(values, ks)]
 
 
-def _check_r1(payloads: list, tol: float, tangle_tol: float):
+def _check_r1(payloads: list):
     kme = _kme_values(payloads, [(psi.num_sites,) for psi in payloads])
     return [
-        [("", lhs, quadratic_mean(transposed_profile(psi).per_site), tol, {})]
+        [("", lhs, quadratic_mean(transposed_profile(psi).per_site), {})]
         for psi, (lhs,) in zip(payloads, kme)
     ]
 
 
-def _check_r2(payloads: list, tol: float, tangle_tol: float):
+def _check_r2(payloads: list):
     states = [psi for ens in payloads for psi in ens.states]
     kme = iter(_kme_values(states, [(ens.num_sites,) for ens in payloads for _ in ens.states]))
     out = []
@@ -294,102 +301,99 @@ def _check_r2(payloads: list, tol: float, tangle_tol: float):
         # zip stops at the last weight, so each ensemble takes its own states' values
         lhs = sum(p * value for p, (value,) in zip(ens.weights, kme))
         rhs = quadratic_mean(transposed_profile(ens.density()).per_site)
-        out.append([("", lhs, rhs, tol, {"inequality": True})])
+        out.append([("", lhs, rhs, {"inequality": True})])
     return out
 
 
-def _check_r3(payload: tuple[int, float], tol: float, tangle_tol: float):
+def _check_r3(payload: tuple[int, float]):
     n, tvis = payload
     prof = transposed_profile(ghz_noise(n, tvis)).per_site
-    rows = [("exact n-ME value", ghz_noise_nme_exact(n, tvis), quadratic_mean(prof), tol, {})]
+    rows = [("exact n-ME value", ghz_noise_nme_exact(n, tvis), quadratic_mean(prof), {})]
     pred = ghz_noise_negativity(n, tvis)
-    return rows + [(f"negativity site {p}", pred, prof[p], tol, {}) for p in range(n)]
+    return rows + [(f"negativity site {p}", pred, prof[p], {}) for p in range(n)]
 
 
-def _check_r4(payloads: list, tol: float, tangle_tol: float):
+def _check_r4(payloads: list):
     out = []
     for psi, (c2, c3) in zip(payloads, _kme_values(payloads, [(2, 3)] * len(payloads))):
         prof = transposed_profile(psi).per_site
         out.append([
-            ("C2 = min N", c2, min(prof), tol, {}),
-            ("C3 = rms N", c3, quadratic_mean(prof), tol, {}),
+            ("C2 = min N", c2, min(prof), {}),
+            ("C3 = rms N", c3, quadratic_mean(prof), {}),
         ])
     return out
 
 
-def _check_r5(payloads: list, tol: float, tangle_tol: float):
+def _check_r5(payloads: list):
     out = []
     for psi, (c2d, c3d) in zip(payloads, _kme_values(payloads, [(2, 3)] * len(payloads))):
         inv = invariants3(psi)
         c2i, c3i = kme_from_invariants3(inv)
         tau3 = three_tangle(psi)
         pred = tangles_from_invariants3(inv, tau3)
-        rows = [("C2 via invariants", c2i, c2d, tol, {}), ("C3 via invariants", c3i, c3d, tol, {})]
+        rows = [("C2 via invariants", c2i, c2d, {}), ("C3 via invariants", c3i, c3d, {})]
         direct_tangles = []
         for pair, name, lhs in zip(((0, 1), (0, 2), (1, 2)), ("AB", "AC", "BC"), pred):
             direct_tangles.append(_pair_tangle(psi, pair))
-            rows.append((f"tau_{name} via invariants", lhs, direct_tangles[-1], tangle_tol, {}))
+            rows.append((f"tau_{name} via invariants", lhs, direct_tangles[-1], {"tangle": True}))
         c3_tangle = clamped_sqrt(2.0 / 3.0 * sum(direct_tangles) + tau3)
-        out.append(rows + [("C3 via tangles", c3_tangle, c3d, tangle_tol, {})])
+        out.append(rows + [("C3 via tangles", c3_tangle, c3d, {"tangle": True})])
     return out
 
 
-def _check_r6(payloads: list, tol: float, tangle_tol: float):
+def _check_r6(payloads: list):
     kme = _kme_values(payloads, [(2, 3, 4)] * len(payloads))
     return [
         [
-            (f"C{k} via invariants", inv_val, direct, tol, {})
+            (f"C{k} via invariants", inv_val, direct, {})
             for k, inv_val, direct in zip((2, 3, 4), kme_from_invariants4(invariants4(psi)), values)
         ]
         for psi, values in zip(payloads, kme)
     ]
 
 
-def _check_r7(payloads: list, tol: float, tangle_tol: float):
+def _check_r7(payloads: list):
     states = [slocc_family(params) for params in payloads]
     out = []
     for params, psi, kme in zip(payloads, states, _kme_values(states, [(2, 3, 4)] * len(states))):
         pred = family_closed_forms(params)
         direct_neg = transposed_profile(psi).per_site
         rows = [
-            (f"C{k} closed form", closed, direct, tol, {})
+            (f"C{k} closed form", closed, direct, {})
             for k, closed, direct in zip((2, 3, 4), (pred.c2, pred.c3, pred.c4), kme)
         ]
         rows += [
-            (f"N site {p} closed form", pred.negativities[p], direct_neg[p], tol, {})
+            (f"N site {p} closed form", pred.negativities[p], direct_neg[p], {})
             for p in range(4)
         ]
-        c2_direct, min_n = kme[0], min(direct_neg)
         skip = pred.c2_min_negativity == "fails"
         if skip:
             note = f"condition violated (margin={pred.condition_margin:.6g}); equality not predicted"
-            if abs(c2_direct - min_n) <= tol:
-                note += "; equality holds anyway"
         elif pred.c2_min_negativity == "holds":
             note = "unconditional"
         else:
             note = f"condition satisfied (margin={pred.condition_margin:.6g})"
-        out.append(rows + [("C2 = min N", c2_direct, min_n, tol, {"note": note, "skip": skip})])
+        out.append(rows + [("C2 = min N", kme[0], min(direct_neg), {"note": note, "skip": skip})])
     return out
 
 
-def _check_r8(payload, tol: float, tangle_tol: float):
+def _check_r8(payload):
     kind, arg = payload  # ("w_kme", n) or ("w_two_tangle", coeffs)
     if kind == "w_kme":
         ks = tuple(range(2, arg + 1))
         (kme,) = _kme_values([w(arg)], [ks])
-        return [(f"k={k}", w_kme_closed_form(arg, k), value, tol, {}) for k, value in zip(ks, kme)]
+        return [(f"k={k}", w_kme_closed_form(arg, k), value, {}) for k, value in zip(ks, kme)]
     psi = w_class(arg)
     n = psi.num_sites
     return [
         (f"pair ({i},{j})", w_two_tangle(arg, i, j), _pair_tangle(psi, (i - 1, j - 1)),
-         tangle_tol, {})
+         {"tangle": True})
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     ]
 
 
-def _check_r9(payload, tol: float, tangle_tol: float):
+def _check_r9(payload):
     psi, side = payload
     lam = schmidt_weights(psi, side)
     rank = int(np.sum(lam > 1e-10))
@@ -399,7 +403,7 @@ def _check_r9(payload, tol: float, tangle_tol: float):
     ev = hermitian_eigenvalues(partial_transpose_sites(rho, side, psi.num_sites))
     lhs = float(np.abs(ev).sum() - 1.0)
     rhs = clamped_sqrt(2.0 * (1.0 - purity(reduced_density_pure(psi, side))))
-    return [("", lhs, rhs, tol, {"note": f"schmidt rank {rank}"})]
+    return [("", lhs, rhs, {"note": f"schmidt rank {rank}"})]
 
 
 # A case generator is a function (spec, seed) -> (payload, descriptor)
@@ -527,11 +531,12 @@ _RELATIONS: dict[str, _Relation] = {
 RelationId = Enum("RelationId", [(name, name) for name in _RELATIONS], type=str)
 
 
-def _run_case(rel: RelationId, desc: str, rows) -> list[RelationCheckResult]:
-    """Label one case's bare rows with its relation and descriptor."""
+def _run_case(rel: RelationId, desc: str, rows, tols: tuple) -> list[RelationCheckResult]:
+    """Label one case's bare rows with its relation and descriptor, and
+    judge each against the (tol, tangle_tol) pair."""
     return [
-        _row(rel, f"{desc} | {label}" if label else desc, lhs, rhs, row_tol, **options)
-        for label, lhs, rhs, row_tol, options in rows
+        _row(rel, f"{desc} | {label}" if label else desc, lhs, rhs, tols, **options)
+        for label, lhs, rhs, options in rows
     ]
 
 
@@ -544,11 +549,11 @@ def _run_group(rel: RelationId, cases: list, tol: Optional[float],
     tol if given, else the relation's default.
     """
     checker, default_tol = _RELATIONS[rel][:2]
-    if tangle_tol is None:
-        tangle_tol = TOL_TANGLE if tol is None else tol
-    per_case = checker([payload for payload, _ in cases], default_tol if tol is None else tol,
-                       tangle_tol)
-    return [row for (_, desc), rows in zip(cases, per_case) for row in _run_case(rel, desc, rows)]
+    tols = (default_tol if tol is None else tol,
+            (TOL_TANGLE if tol is None else tol) if tangle_tol is None else tangle_tol)
+    per_case = checker([payload for payload, _ in cases])
+    return [row for (_, desc), rows in zip(cases, per_case)
+            for row in _run_case(rel, desc, rows, tols)]
 
 
 def check(
@@ -674,7 +679,7 @@ def _custom_grid(grids: dict, fam: int) -> Optional[list[FamilyParams]]:
     nparams = FAMILY_PARAM_COUNTS[fam]
     if not isinstance(per_parameter, list) or not per_parameter:
         raise ConfigError(f"family {fam} grid must be a non-empty list per parameter")
-    if len(per_parameter) > max(nparams, 1):
+    if len(per_parameter) > nparams:
         raise ConfigError(
             f"family {fam} takes {nparams} parameters, grid lists {len(per_parameter)}"
         )

@@ -626,3 +626,59 @@ class TestOutsideValuesExit2:
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("error: grid steps"), done.stderr
         assert float(done.stdout) < 0.5
+
+
+class TestValuesThatChangeNothing:
+    """A flag or value that would change nothing exits 2 with an error
+    line instead of being ignored."""
+
+    @staticmethod
+    def refused(capsys, argv) -> str:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:"), captured
+        return captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--family", "8", "--k", ""],
+        ["measure", "--family", "8", "--measures", ""],
+    ], ids=["k", "measures"])
+    def test_empty_list_refused(self, capsys, argv):
+        self.refused(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["family", "--family", "8", "--a", "5"],
+        ["family", "--family", "8", "--a", "0"],
+        ["measure", "--family", "5", "--a", "0.5", "--b", "7", "--measures", "negativity"],
+        ["invariants", "--family", "3", "--a", "1", "--c", "1"],
+        ["measure", "--family", "6", "--b", "0", "--measures", "negativity"],
+    ])
+    def test_parameter_beyond_the_family_count_refused(self, capsys, argv):
+        assert "would change nothing" in self.refused(capsys, argv)
+
+    def test_parameters_within_the_family_count_run(self, capsys):
+        assert main(["family", "--family", "1", "--a", "1", "--b", "0.5", "--c", "0.3",
+                     "--d", "0.2"]) == 0
+        assert main(["measure", "--family", "5", "--measures", "negativity"]) == 0
+        assert main(["family", "--family", "9"]) == 0
+
+    @pytest.mark.parametrize("extra", [
+        ["--family", "9"], ["--a", "2"], ["--family", "9", "--a", "2"], ["--d", "0"],
+    ])
+    def test_family_flags_with_state_refused(self, capsys, bell_file, extra):
+        err = self.refused(capsys, ["measure", "--state", str(bell_file), *extra])
+        assert "with --state" in err
+        self.refused(capsys, ["invariants", "--state", str(bell_file), *extra])
+
+    def test_grid_family_without_grid_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("the suite ran"))
+        report = tmp_path / "report.csv"
+        argv = ["verify", "--default", "--grid-family", "5", "--seed", "7", "--csv", str(report)]
+        assert "--grid and --grid-family go together" in self.refused(capsys, argv)
+        assert not report.exists()
+
+    @pytest.mark.parametrize("grid", ["re:0:1:2,re:0:1:3", "im:0:1:2,re:0:1:2,im:0:1:3"])
+    def test_grid_axis_given_twice_refused(self, capsys, monkeypatch, grid):
+        monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("the suite ran"))
+        argv = ["verify", "--default", "--grid-family", "5", "--grid", grid]
+        assert "axis twice" in self.refused(capsys, argv)

@@ -42,7 +42,7 @@ from qent import (
     w,
     wootters_concurrence,
 )
-from qent import IncompatibleInput, kme_concurrence_stack, random_pure
+from qent import IncompatibleInput, IndexOutOfRange, kme_concurrence_stack, random_pure
 from qent.measures import (CUT_AMPLITUDES, FACTORED_RANK_RATIO, GRAM_FLOOR, _cut_entropy_tables,
                            transposed_profile)
 from qent.qstate import clamped_sqrt, density_factor
@@ -182,6 +182,12 @@ class TestBipartiteConcurrence:
     def test_w3(self):
         c = clamped_sqrt(2 * linear_entropy_pure(w(3), (0,)))
         assert c == pytest.approx(2 * np.sqrt(2) / 3)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_full_side_refused(self, n):
+        """A side of every site is no cut: it has no complement."""
+        with pytest.raises(IndexOutOfRange, match="proper subset"):
+            linear_entropy_pure(random_pure(n, 5), range(n))
 
 
 class TestKmeConcurrence:

@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -250,6 +251,14 @@ class TestSuiteConfig:
         config = SuiteConfig(relations={"R7": {"families": [1, 6], "grids": grids}})
         assert config.relations["R7"]["grids"] == grids
 
+    @pytest.mark.parametrize("family", [7, 8, 9])
+    def test_grid_of_a_family_without_parameters_refused(self, family):
+        """A grid axis of a family of no parameters would run one state
+        once per value."""
+        with pytest.raises(ConfigError, match="takes 0 parameters"):
+            SuiteConfig(relations={"R7": {"families": [family], "random_points": 0,
+                                          "grids": {str(family): [[0.1, 0.2, 0.3]]}}})
+
     @pytest.mark.parametrize("cuts", [[[1, 2, 3]], [1]])
     def test_r9_cuts_must_be_pairs(self, cuts):
         with pytest.raises(ConfigError, match="pairs"):
@@ -379,6 +388,36 @@ class TestRunSuite:
                     seed=7,
                     relations={"R7": {"families": [6], "random_points": 0, "grids": grids}},
                 )
+
+
+class TestSkipRows:
+    """R7 skips C2 = min N where a family's condition is violated; a skip
+    row is neither a pass nor a fail, and its residual is not a worst one."""
+
+    def test_report_counts_skips_apart(self):
+        report = run_suite(SuiteConfig(relations={"R7": {"families": [2, 5],
+                                                         "random_points": 0}}))
+        counts = report.counts()["R7"]
+        assert (counts["checks"], counts["skip"]) == (328, 16)
+        assert counts["checks"] == counts["pass"] + counts["fail"] + counts["skip"]
+        skipped = [r.residual for r in report.results if r.verdict == verify.VERDICT_SKIP]
+        judged = [r.residual for r in report.results if r.verdict != verify.VERDICT_SKIP]
+        assert max(skipped) > 0.3
+        assert report.worst_residuals() == {"R7": max(judged)}
+        assert max(judged) < 1e-14
+
+    def test_equality_holds_anyway_within_tolerance(self):
+        """Just past family 5's boundary |a|^2 = 3/2 the row is skipped,
+        and its residual, within tolerance, is noted."""
+        params = FamilyParams(5, math.sqrt(1.5 + 1e-10))
+        row = check("R7", params)[-1]
+        assert row.state_descriptor.endswith("| C2 = min N")
+        assert row.verdict == verify.VERDICT_SKIP and row.residual < 1e-10
+        assert row.condition_note.startswith("condition violated (margin=-1e-10)")
+        assert row.condition_note.endswith("; equality holds anyway")
+        strict = check("R7", params, tol=1e-12)[-1]
+        assert strict.verdict == verify.VERDICT_SKIP and strict.residual > 1e-12
+        assert strict.condition_note.endswith("equality not predicted")
 
 
 class TestBehaviourReference:
@@ -652,6 +691,24 @@ def test_checkers_only_compute():
     found = _payload_checks(Path(verify.__file__).read_text(encoding="utf-8"))
     assert sorted(found) == [f"_check_r{i}" for i in range(1, 10)]
     assert not any(found.values()), found
+
+
+def test_checkers_take_no_tolerance():
+    """A checker takes its payloads alone and names no tolerance: _row
+    judges every row."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    checkers = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_r")]
+    assert sorted(node.name for node in checkers) == [f"_check_r{i}" for i in range(1, 10)]
+    for node in checkers:
+        params = node.args
+        assert len(params.posonlyargs + params.args + params.kwonlyargs) == 1, node.name
+        assert params.vararg is None and params.kwarg is None, node.name
+        names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+        names |= {sub.arg for sub in ast.walk(node) if isinstance(sub, ast.arg)}
+        names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+        assert not {name for name in names
+                    if name in ("tol", "tangle_tol") or name.startswith("TOL_")}, node.name
 
 
 @pytest.mark.parametrize("snippet,lines", [
