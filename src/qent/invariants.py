@@ -6,6 +6,13 @@ independent degree-4 invariants (norm^2 plus the three single-site
 purities); four qubits carry seven (four single-site plus the three
 pair purities that include site D).  Site letters map as A=0, B=1,
 C=2, D=3.
+
+Each purity is evaluated as the invariant polynomial itself, the
+contraction sum psi_ab psi*_cb psi_cd psi*_ad of the amplitudes with the
+block's sites as the first index, in one pass over its terms: no reduced
+density matrix or Gram matrix is formed, so the k-ME values these
+invariants are checked against (which come from the cuts' Gram
+matrices) share no intermediate with them.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InputError, _kind, _real, brief
-from .qstate import PureState, _pure, _purity, _reduced_density_pure, _trusted, clamped_sqrt
+from .qstate import PureState, _amplitude_matrix, _pure, _trusted, clamped_sqrt
 
 # 3-partitions of A,B,C,D as (site, site, complement-pair purity index into i4)
 _C3_COMBOS_4Q = ((3, 2, 6), (3, 1, 5), (3, 0, 4), (2, 1, 4), (2, 0, 5), (1, 0, 6))
@@ -56,7 +63,9 @@ def _check_fields(inv, count: int) -> None:
 
 
 def _site_purity(psi: PureState, sites: tuple[int, ...]) -> float:
-    return _purity(_reduced_density_pure(psi, sites))
+    """Tr rho_sites^2 as the degree-4 polynomial of the amplitudes."""
+    m = _amplitude_matrix(psi, sites)
+    return float(np.einsum("ab,cb,cd,ad->", m, m.conj(), m, m.conj(), optimize=False).real)
 
 
 def invariants3(psi: PureState) -> Invariants3:

@@ -5,18 +5,19 @@ candidate value is sqrt(2/k * sum_t S_L(A_t)) with the linear entropy
 S_L(A) = 1 - Tr rho_A^2; the measure is the minimum over all
 k-partitions.  It is computed without enumerating the S(n, k)
 partitions: a cut-entropy table holds S_L(B) for every block B of at
-most n - k + 1 sites (one eigensolve of a Gram matrix per unordered cut
-B | rest, an SVD for a cut near product, cached on the state and filled
-one block size at a time), and a backward subset DP over canonical
+most n - k + 1 sites (per unordered cut B | rest, (Tr G)^2 - ||G||_F^2
+of the Gram matrix G of the smaller side's amplitudes, no eigensolve, or
+an SVD for a cut near product; cached on the state and filled one block
+size at a time), and a backward subset DP over canonical
 prefixes (each step adds the block holding the lowest unused site)
 finds the least right-nested block sum S(B_1) + (S(B_2) + (... + S(B_k)))
 exactly.  The reported partition is the lexicographically smallest
 canonical one that attains the rounded minimum, found by a greedy walk
 over the same DP.  kme_concurrence_stack does this for a stack of
-states at once, with stacked Gram products and eigvalsh calls and a
-leading state axis, and kme_concurrence_pure is its stack of one.  k-ME
-refuses states of more than MAX_SITES = 14 qubits (n = 14, k = 7 takes
-about 5 seconds on two cores).
+states at once, with stacked Gram products and a leading state axis,
+and kme_concurrence_pure is its stack of one.  k-ME refuses states of
+more than MAX_SITES = 14 qubits (n = 14, k = 7 takes about 1.5 seconds
+on two cores).
 
 Negativity of qubit p is the trace norm of the partial transpose minus
 one (identically minus twice the sum of negative transposed
@@ -59,7 +60,7 @@ from .qstate import (
     sites_tuple,
 )
 
-# largest n that k-ME accepts (n = 14, k = 7 takes about 5 seconds); the
+# largest n that k-ME accepts (n = 14, k = 7 takes about 1.5 seconds); the
 # GHZ, W and GHZ + noise constructors and closed forms share it
 MAX_SITES = 14
 # eigenvalues of a partial transpose above this are treated as non-negative
@@ -75,24 +76,30 @@ FACTORED_RANK_RATIO = 8
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYY = np.kron(_SY, _SY)
 
-# most amplitudes one stacked Gram product (and its eigvalsh call) holds
-# when filling cut-entropy tables: 16 cuts of a 10-qubit state
+# most amplitudes one stacked Gram product holds when filling cut-entropy
+# tables: 16 cuts of a 10-qubit state
 CUT_AMPLITUDES = 16 * 2**10
 
-# _cut_entropies takes S_L = 2 sum_{i<j} lam_i lam_j of a cut from the
-# eigenvalues lam of its d x d Gram matrix G = M M^dag, d = 2^s <= 2^7.
-# G is formed and diagonalized with backward errors of a few u ||G||,
-# u = 2^-53 and ||G|| <= Tr G = 1, so each lam_i is off by about u, and
-# S_L, whose derivative in lam_i is 2 (1 - lam_i) <= 2, by at most
-# delta ~ 2 d u + d u (the sum) <= 384 u = 4.3e-14 from the SVD route's
-# value (measured: at most 25 u over random and near-product cuts of
-# d = 2..128).  A k-partition whose block sum T holds m >= 1 Gram values
-# has T >= m (GRAM_FLOOR - delta) on either route and moves by at most
-# m delta, so sqrt(2 T / k) moves by at most delta / sqrt(2 (GRAM_FLOOR -
-# delta)) <= 1e-12 for GRAM_FLOOR >= delta^2 / 2e-24 + delta = 9.2e-4, and
-# so does the k-ME minimum.  A Gram value below the floor is taken again
-# from the SVD, which keeps small values accurate to about u sigma and
-# product cuts at exactly 0.0.
+# _cut_entropies takes S_L of a cut as (Tr G)^2 - ||G||_F^2 of its d x d
+# Gram matrix G = M M^dag, d = 2^s <= 2^7, which is 2 sum_{i<j} lam_i lam_j
+# over G's eigenvalues lam.  G is formed with a backward error of a few
+# u ||G||, u = 2^-53 and ||G|| <= Tr G = 1, which moves each lam_i by about
+# u, and S_L, whose derivative in lam_i is 2 (Tr G - lam_i) <= 2, by 2 d u.
+# numpy sums N <= 128 values in 8 interleaved partial sums joined pairwise,
+# a relative error of at most (N / 8 + 3) u, and halves a longer run: so
+# Tr G (d values: 19 u) squared (39 u) and ||G||_F^2 (squares of the 2d
+# reals of a row, 1 u, summed, 20 u, then the d row sums, 19 u: 40 u), each
+# at most 1, add at most 80 u.  S_L is off by at most delta ~ 2 d u + 80 u
+# <= 336 u = 3.7e-14 from the SVD route's value (measured: at most 11 u
+# over random and near-product cuts of d = 2..128).  A k-partition whose
+# block sum T holds m >= 1 Gram values has T >= m (GRAM_FLOOR - delta) on
+# either route and moves by at most m delta, so sqrt(2 T / k) moves by at
+# most delta / sqrt(2 (GRAM_FLOOR - delta)) <= 1e-12 for GRAM_FLOOR >=
+# delta^2 / 2e-24 + delta = 7.0e-4, and so does the k-ME minimum.  The
+# floor also bounds the cancellation: a Gram value below it, where the
+# difference of two numbers near 1 has lost digits, is taken again from
+# the SVD, which keeps small values accurate to about u sigma and product
+# cuts at exactly 0.0.
 GRAM_FLOOR = 1e-3
 
 
@@ -133,12 +140,16 @@ def _linear_entropy_rows(lam: np.ndarray) -> np.ndarray:
 
 def _cut_entropies(stack: np.ndarray) -> np.ndarray:
     """S_L of each amplitude matrix M of a stack (..., 2^s, 2^(n - s)),
-    s <= n - s, as 2 * sum_{i<j} lam_i lam_j over the eigenvalues of its
-    Gram matrix M M^dag, or over its squared singular values where that
-    reads below GRAM_FLOOR.  A matrix's value does not depend on the
-    others in the stack."""
-    lam = np.linalg.eigvalsh(stack @ stack.conj().swapaxes(-1, -2))
-    ent = _linear_entropy_rows(lam[..., ::-1])
+    s <= n - s, as (Tr G)^2 - ||G||_F^2 of its Gram matrix G = M M^dag:
+    2 * sum_{i<j} lam_i lam_j over G's eigenvalues, without finding them.
+    A value below GRAM_FLOOR, where that difference of two numbers near 1
+    has cancelled, is taken again as 2 * sum_{i<j} lam_i lam_j over M's
+    squared singular values.  Each matrix is reduced over its own two
+    axes, so its value does not depend on the others in the stack."""
+    gram = stack @ stack.conj().swapaxes(-1, -2)
+    trace = gram.diagonal(axis1=-2, axis2=-1).real.sum(-1)
+    parts = gram.view(float)  # (re, im) pairs along each row
+    ent = trace * trace - (parts * parts).sum(-1).sum(-1)
     low = ent < GRAM_FLOOR
     if low.any():
         ent[low] = _linear_entropy_rows(np.linalg.svd(stack[low], compute_uv=False) ** 2)
@@ -149,11 +160,13 @@ def linear_entropy_pure(psi: PureState, block: Union[int, Iterable[int]]) -> flo
     """1 - Tr(rho_block^2) for a pure state.
 
     Evaluated as 2 * sum_{i<j} lambda_i lambda_j over the Schmidt
-    weights of the cut, instead of cancelling 1 against a purity: the
-    eigenvalues of the Gram matrix of the side of fewer than n / 2 sites
-    (of n / 2 with site 0), or, for a value below GRAM_FLOOR, the squared
-    singular values of its amplitudes, which keep a product cut at
-    exactly 0.0.  The cut-entropy tables use the same side and kernel.
+    weights lambda of the cut, not as 1 minus a purity: as (Tr G)^2 -
+    ||G||_F^2 of the Gram matrix G of the side of fewer than n / 2 sites
+    (of n / 2 with site 0), which equals that sum and keeps the state's
+    norm in it, or, for a value below GRAM_FLOOR, where the difference
+    has cancelled, from the squared singular values of the side's
+    amplitudes, which keep a product cut at exactly 0.0.  The cut-entropy
+    tables use the same side and kernel.
     """
     n = _pure(psi).num_sites
     side = sites_tuple(block, n)
@@ -262,8 +275,9 @@ def _cut_entropy_tables(states: list[PureState], max_size: int) -> np.ndarray:
     sites), fills B and its complement, so every entry equals
     linear_entropy_pure(psi, block) bit for bit; entries not filled hold
     inf.  Each state's memo keeps its table and the block size it is
-    filled to.  The cuts of one size go into stacked calls (one Gram
-    product, one eigvalsh) of at most CUT_AMPLITUDES amplitudes.
+    filled to.  The cuts of one size go into stacked calls of at most
+    CUT_AMPLITUDES amplitudes: one Gram product, its traces and Frobenius
+    norms, and an SVD only of the cuts whose value reads below GRAM_FLOOR.
     """
     n = states[0].num_sites
     filled, tables = zip(*(psi._memo.get("cut_entropy") or (0, np.full(1 << n, np.inf))
@@ -412,7 +426,7 @@ def _kme_minima(tables: np.ndarray, n: int, k: int) -> list[tuple[float, Partiti
 
 def kme_concurrence_stack(states, k: int) -> tuple[MeasureReport, ...]:
     """kme_concurrence_pure(psi, k) for each pure state of a sequence, bit
-    for bit; the states of each site count share stacked Gram eigensolves
+    for bit; the states of each site count share stacked Gram products
     for their tables and one DP with a leading state axis.  Raises
     IncompatibleInput for anything but a sequence of pure states, and
     OutOfRange as kme_concurrence_pure does for any of them."""

@@ -653,13 +653,18 @@ def _spec_value(name: str, key: str, value):
         cuts = [[_integer(v, f"{what} entry", 1, top, ConfigError) for v in cut] for cut in value]
         if any(sum(cut) > SUITE_MAX_SITES for cut in cuts):
             raise ConfigError(f"{what} must have na + nb <= {SUITE_MAX_SITES}, got {brief(value)}")
-        return cuts
-    lo, hi = {  # a size n builds 2^n-entry states or a 4^n density matrix
-        "sizes": (3 if name == "R8" else 2, SUITE_MAX_SITES),  # W states start at 3, k-ME at 2
-        "ranks": (1, None),  # SuiteConfig checks each against 2^n for every size n
-        "families": (min(FAMILY_LABELS), max(FAMILY_LABELS)),
-    }[key]
-    return [_integer(v, f"{what} entry", lo, hi, ConfigError) for v in value]
+        entries = cuts
+    else:
+        lo, hi = {  # a size n builds 2^n-entry states or a 4^n density matrix
+            "sizes": (3 if name == "R8" else 2, SUITE_MAX_SITES),  # W states start at 3, k-ME at 2
+            "ranks": (1, None),  # SuiteConfig checks each against 2^n for every size n
+            "families": (min(FAMILY_LABELS), max(FAMILY_LABELS)),
+        }[key]
+        entries = [_integer(v, f"{what} entry", lo, hi, ConfigError) for v in value]
+    # a repeated entry would only run its cases again, on the same states
+    if len({tuple(e) if key == "cuts" else e for e in entries}) < len(entries):
+        raise ConfigError(f"{what} repeats an entry: {brief(value)}")
+    return entries
 
 
 def _complex_from_config(value) -> complex:

@@ -429,6 +429,7 @@ class TestVerifyCommand:
             {"R9": {"cuts": [[5, 5]]}},
             {"R8": {"sizes": [9]}},
             {"R8": {"sizes": [40]}},
+            {"R1": {"sizes": [3, 3], "samples": 1}},
         ]
         texts = ["{definitely not json"]
         texts += [json.dumps({"relations": rels}) for rels in bad_relations]

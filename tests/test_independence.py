@@ -12,11 +12,12 @@ move both together and leave the gap where it was.
 """
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from qent import measures, verify
+from qent import invariants, measures, qstate, verify
 from qent.families import FamilyParams
 
 SCALE = 1.0 + 1e-6
@@ -145,3 +146,42 @@ def test_negativity_side_is_the_partial_transpose(baseline, monkeypatch):
     for before, after in zip(baseline, _check_all()):
         moved = abs(after.rhs - before.rhs) > MOVED
         assert moved == (_key(before) in negative_rows), before.state_descriptor
+
+
+def test_invariant_side_forms_no_reduced_density(baseline, monkeypatch):
+    """R5 and R6 compare k-ME, whose one-site values come from the Gram
+    matrix of one site's amplitudes (that site's reduced density matrix),
+    with the degree-4 invariants.  While the invariants are computed,
+    qstate._reduced_density_pure and qstate._purity raise wherever qent
+    binds them; while k-ME is computed, invariants._site_purity raises.
+    The rows are still built, bit for bit."""
+    running = []  # the side whose computation is under way
+
+    def side(name, fn):
+        def wrapped(*args, **kwargs):
+            running.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.pop()
+        return wrapped
+
+    def barred(name, fn):
+        def guarded(*args, **kwargs):
+            assert name not in running, f"the {name} side reached {fn.__module__}.{fn.__name__}"
+            return fn(*args, **kwargs)
+        return guarded
+
+    for name in ("invariants3", "invariants4"):
+        monkeypatch.setattr(verify, name, side("invariant", getattr(verify, name)))
+    monkeypatch.setattr(verify, _KME, side("k-ME", getattr(verify, _KME)))
+    modules = [m for name, m in sys.modules.items() if name == "qent" or name.startswith("qent.")]
+    for name in ("_reduced_density_pure", "_purity"):
+        original = getattr(qstate, name)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, barred("invariant", original))
+    monkeypatch.setattr(invariants, "_site_purity", barred("k-ME", invariants._site_purity))
+    rows = [row for rel, payload in PAYLOADS if rel in ("R5", "R6")
+            for row in verify.check(rel, payload)]
+    assert rows == [row for row in baseline if row.relation.value in ("R5", "R6")]

@@ -42,7 +42,7 @@ from qent import (
     w,
     wootters_concurrence,
 )
-from qent import IncompatibleInput, IndexOutOfRange, kme_concurrence_stack, random_pure
+from qent import IncompatibleInput, IndexOutOfRange, kme_concurrence_stack, measures, random_pure
 from qent.measures import (CUT_AMPLITUDES, FACTORED_RANK_RATIO, GRAM_FLOOR, _cut_entropy_tables,
                            transposed_profile)
 from qent.qstate import clamped_sqrt, density_factor
@@ -335,18 +335,18 @@ class TestKmeStack:
             assert _stacked(stack, k) == [_alone(psi, k) for psi in stack], k
         assert _stacked(states, 2) == [_alone(psi, 2) for psi in states]  # all warm
 
-    def test_one_eigvalsh_call_per_block_size(self, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a, **kw: calls.append(a.shape) or eigvalsh(a, **kw))
-        states = [random_pure(3, seed) for seed in range(40)]
-        kme_concurrence_stack(states, 2)
-        assert len(calls) == 1  # one-site blocks, which fill their two-site complements too
-        calls.clear()
+    def test_one_gram_product_per_block_size(self, monkeypatch):
+        calls = _kernel_calls(monkeypatch)
+        kme_concurrence_stack([random_pure(3, seed) for seed in range(40)], 2)
+        assert calls["gram"] == [(3, 40, 2, 4)]  # one-site blocks fill their two-site complements
+        calls["gram"].clear()
+        kme_concurrence_stack([random_pure(4, seed) for seed in range(40)], 2)
+        assert calls["gram"] == [(4, 40, 2, 8), (3, 40, 4, 4)]  # two-site blocks holding site 0
+        calls["gram"].clear()
         kme_concurrence_stack([random_pure(8, seed) for seed in range(64)], 2)
         # each Gram matrix stands for one cut's 2^8 amplitudes
-        assert max(int(np.prod(shape[:-2])) for shape in calls) * 2**8 <= CUT_AMPLITUDES
+        assert max(int(np.prod(shape[:-2])) for shape in calls["gram"]) * 2**8 <= CUT_AMPLITUDES
+        assert calls["eigvalsh"] == []
 
     def test_refusals(self):
         psi = random_pure(3, 1)
@@ -365,8 +365,21 @@ def _table_states(rng, n):
     return [PureState(psi.amplitudes, n) for psi in states]
 
 
+def _kernel_calls(monkeypatch) -> dict[str, list[tuple[int, ...]]]:
+    """Record the shape of each stack measures._cut_entropies gets (it
+    forms one stacked Gram product) and of each eigvalsh and svd call."""
+    calls = {"gram": [], "eigvalsh": [], "svd": []}
+    for owner, name, key in ((measures, "_cut_entropies", "gram"),
+                             (np.linalg, "eigvalsh", "eigvalsh"), (np.linalg, "svd", "svd")):
+        def spy(a, *args, _kernel=getattr(owner, name), _key=key, **kwargs):
+            calls[_key].append(np.shape(a))
+            return _kernel(a, *args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 class TestCutEntropyTables:
-    """One Gram eigensolve per unordered cut fills a block and its
+    """One Gram value per unordered cut fills a block and its
     complement; every entry equals linear_entropy_pure of its block bit
     for bit (==)."""
 
@@ -389,15 +402,25 @@ class TestCutEntropyTables:
         assert np.isfinite(tables[:, 1:-1]).all() and (tables[:, [0, -1]] == np.inf).all()
 
     def test_no_gram_of_more_than_half_the_sites(self, rng, monkeypatch):
-        shapes, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a, **kw: shapes.append(a.shape) or eigvalsh(a, **kw))
+        calls = _kernel_calls(monkeypatch)
         kme_concurrence_pure(PureState(random_state_vector(10, rng), 10), 10)
-        assert {shape[-2:] for shape in shapes} == {(2, 2)}  # one-site blocks only
+        assert {shape[-2] for shape in calls["gram"]} == {2}  # one-site blocks only
         for n in (5, 6, 7):
-            shapes.clear()
+            calls["gram"].clear()
             kme_concurrence_pure(PureState(random_state_vector(n, rng), n), 2)
-            assert max(rows for *_, rows, _ in shapes) == 2 ** (n // 2)
+            assert max(rows for *_, rows, _ in calls["gram"]) == 2 ** (n // 2)
+        assert calls["eigvalsh"] == []
+
+    def test_only_cuts_below_the_floor_reach_the_svd(self, rng, monkeypatch):
+        calls = _kernel_calls(monkeypatch)
+        kme_concurrence_pure(PureState(random_state_vector(8, rng), 8), 2)
+        assert calls["gram"] and calls["svd"] == []
+        calls["gram"].clear()
+        product = make_pure(reduce(np.kron, [random_state_vector(1, rng) for _ in range(8)]), 8)
+        kme_concurrence_pure(product, 2)
+        # the 2^7 - 1 unordered cuts of 8 sites, every one of them product
+        cuts = [sum(int(np.prod(shape[:-2])) for shape in calls[k]) for k in ("gram", "svd")]
+        assert cuts == [2**7 - 1] * 2
 
 
 # how far a k-ME value may move from the SVD route's, from GRAM_FLOOR's derivation
@@ -438,13 +461,14 @@ def _near_product(rng, n) -> PureState:
 
 
 class TestGramRoute:
-    """Cut entropies come from the Gram eigenvalues, and from the SVD
-    below GRAM_FLOOR, so k-ME stays within GRAM_KME_BOUND of the SVD
+    """Cut entropies come from the Gram matrix's trace and Frobenius
+    norm, and from the SVD below GRAM_FLOOR, so k-ME stays within GRAM_KME_BOUND of the SVD
     route and small and zero cuts keep their SVD values."""
 
     def test_floor_meets_its_derivation(self):
-        # the Gram route's rounding bound: 3 d u for Gram matrices of d <= 2^7 rows
-        delta = 3 * 2**7 * 2.0**-53
+        # the Gram route's rounding bound for Gram matrices of d <= 2^7 rows:
+        # 2 d u from G's rounding plus 80 u from its trace and Frobenius sums
+        delta = (2 * 2**7 + 80) * 2.0**-53
         assert GRAM_FLOOR >= delta**2 / (2 * GRAM_KME_BOUND**2) + delta
 
     def test_near_product_sweep_matches_the_svd_route(self):

@@ -1,10 +1,11 @@
 import ast
 import csv
-import ctypes
 import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -38,6 +39,8 @@ from qent import (
     slocc_family,
 )
 
+import qent
+from blas_core import openblas_core
 from qent import qstate, verify
 from qent.cli import main
 from qent.measures import FACTORED_RANK_RATIO, MeasureReport, NegativityProfile, transposed_profile
@@ -48,27 +51,37 @@ from test_integers import SOURCES, _name
 # `qent verify --default --seed 7 --csv`, per OpenBLAS core: the cores
 # round some values differently (each measured with OPENBLAS_CORETYPE)
 SEED7_CSV_SHA256 = {
-    "SkylakeX": "d5ec73c7888df3806d2d84b2b1362175649367f4bad52aec3f79b0962506b5eb",
-    "Haswell": "310d9a6cb3f1aa70f686ebf1009cc205cf5a00396939c194e7385bc484f93310",
-    "Sandybridge": "c439b7f17b65704e3f20a68f328d35db206c2b1a82bcd7873aeef3ad965411bb",
-    "Nehalem": "7c4a987af5e587d3cfe5b6aed441cc60e36c5f588a59875268ed8fa81168d7e8",
+    "SkylakeX": "cc322fa2bededfaa41531397d225239af6349a156d13628681e92cf0bc44bd66",
+    "Haswell": "c73d3bac153c168ed471eb0ce3bf37f5b1b4fe283fd9026fdc3a816d053fa3f6",
+    "Sandybridge": "5fa13bb971ab076065b4d259f1ed3c60bbff25670d82cf46c37d6d6fb7d93cc2",
+    "Nehalem": "6363e1c28f6acf771b13632909e8294d6c0cef0aab33a2897c433cf9dda1e411",
 }
+# the /proc/cpuinfo flag each pinned core's kernels need
+CORE_CPU_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx",
+                  "Nehalem": "sse4_2"}
 
 
 def _seed7_sha256() -> str:
-    """The pinned seed-7 sha of the OpenBLAS core this process runs on,
-    read from numpy's bundled OpenBLAS; fails when the core cannot be
-    read or has no pin."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    """The pinned seed-7 sha of the OpenBLAS core this process runs on;
+    fails when the core cannot be read or has no pin."""
     try:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        core = corename().decode()
-    except (IndexError, OSError, AttributeError) as exc:
+        core = openblas_core()
+    except OSError as exc:
         pytest.fail(f"cannot read the OpenBLAS core of numpy's bundled library: {exc!r}")
     if core not in SEED7_CSV_SHA256:
         pytest.fail(f"no seed-7 sha pinned for OpenBLAS core {core!r}")
     return SEED7_CSV_SHA256[core]
+
+
+def _cpu_flags() -> set[str]:
+    """The CPU flags /proc/cpuinfo lists; empty where it cannot be read."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return {flag for line in lines if line.startswith("flags")
+            for flag in line.split(":")[1].split()}
+
 
 REFERENCE_CSV = (
     Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "suite_seed7.csv"
@@ -273,6 +286,21 @@ class TestSuiteConfig:
     def test_smallest_sizes_and_largest_ranks_accepted(self, relations):
         assert set(SuiteConfig(relations=relations).relations) == set(relations)
 
+    @pytest.mark.parametrize("relations", [
+        {"R1": {"sizes": [3, 3], "samples": 1}},
+        {"R2": {"sizes": [2], "ranks": [2, 1, 2]}},
+        {"R7": {"families": [5, 5]}},
+        {"R9": {"cuts": [[1, 2], [1, 2]]}},
+    ])
+    def test_repeated_entries_refused(self, relations):
+        """A repeated entry would run the same cases on the same states again."""
+        with pytest.raises(ConfigError, match="repeats an entry"):
+            SuiteConfig(relations=relations)
+
+    def test_cuts_of_swapped_sides_are_distinct(self):
+        config = SuiteConfig(relations={"R9": {"cuts": [[1, 2], [2, 1]]}})
+        assert config.relations["R9"]["cuts"] == [[1, 2], [2, 1]]
+
     def test_json_integer_over_digit_limit(self):
         with pytest.raises(ConfigError):
             SuiteConfig.from_json('{"seed": %s}' % ("1" * 5000))
@@ -335,9 +363,9 @@ class TestRunSuite:
 
     def test_cases_stream(self):
         """The first case comes before the others are built: this config
-        has 100,001 cases, which took seconds to build all at once."""
-        config = SuiteConfig(relations={"R2": {"sizes": [2] * 10, "ranks": [2] * 10,
-                                               "samples": 1000}})
+        has 100,801 cases, which take seconds to build all at once."""
+        config = SuiteConfig(relations={"R2": {"sizes": list(range(2, 9)), "ranks": [1, 2, 3, 4],
+                                               "samples": 3600}})
         start = time.perf_counter()
         rel = RelationId.R2
         payload, desc = next(verify._RELATIONS[rel].cases(config.relations[rel], lambda i: i))
@@ -441,6 +469,27 @@ class TestBehaviourReference:
     def test_default_suite_report_bytes(self):
         csv_text = run_suite(SuiteConfig.default(7)).to_csv()
         assert hashlib.sha256(csv_text.encode()).hexdigest() == _seed7_sha256()
+
+    @pytest.mark.parametrize("core", sorted(SEED7_CSV_SHA256))
+    def test_cli_bytes_on_every_pinned_core(self, core, tmp_path):
+        """`python -m qent verify --default --seed 7 --csv` in a child run
+        with OPENBLAS_CORETYPE set to each pinned core the CPU supports;
+        the child reports the core it ran on before it runs the CLI."""
+        if CORE_CPU_FLAGS[core] not in _cpu_flags():
+            pytest.skip(f"{core} needs the CPU flag {CORE_CPU_FLAGS[core]}")
+        code = ("import runpy, sys\n"
+                "from blas_core import openblas_core\n"
+                "print(openblas_core(), file=sys.stderr)\n"
+                "runpy.run_module('qent', run_name='__main__', alter_sys=True)\n")
+        paths = (Path(__file__).parent, Path(qent.__file__).parents[1], os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join(str(p) for p in paths if p)}
+        out = tmp_path / "seed7.csv"
+        done = subprocess.run([sys.executable, "-c", code, "verify", "--default", "--seed", "7",
+                               "--csv", str(out)], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert (done.returncode, done.stderr) == (0, core + "\n"), done.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED7_CSV_SHA256[core]
 
 
 class TestSuiteGroups:
