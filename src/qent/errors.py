@@ -1,11 +1,14 @@
 """Exception classes shared across the package, brief() for their
 messages, the one check of each kind of numeric argument (_integer,
-_real, _complex and _complex_array) and _kind, the one check that an
-argument is an instance of a qent type or a JSON shape.  The numeric
-checks take Python and numpy numbers alike, never a bool, string or
-None, and refuse NaN and Inf.  Each raises the class its caller names."""
+_real, _complex and _complex_array), _kind, the one check that an
+argument is an instance of a qent type or a JSON shape, and
+_json_object, the one parse of a JSON text (a state file or a suite
+config) into an object.  The numeric checks take Python and numpy
+numbers alike, never a bool, string or None, and refuse NaN and Inf.
+Each raises the class its caller names."""
 import cmath
 import itertools
+import json
 import re
 from contextlib import suppress
 
@@ -117,6 +120,8 @@ def _complex_array(value, what: str, error: type) -> np.ndarray:
         a = np.asarray(value)
     except (TypeError, ValueError) as exc:  # lists nested unevenly
         raise error(f"{what} must be an array of numbers") from exc
+    if a.dtype.kind == "b":
+        raise error(f"{what} must be numbers, not true or false")
     if a.dtype.kind not in "iufc":
         raise error(f"{what} must be numbers, got {a.dtype} entries")
     if isinstance(value, (list, tuple)):  # numpy casts bools mixed with numbers to numbers
@@ -124,9 +129,19 @@ def _complex_array(value, what: str, error: type) -> np.ndarray:
         for _ in range(a.ndim - 1):
             entries = itertools.chain.from_iterable(entries)
         if not {bool, np.bool_}.isdisjoint(map(type, entries)):
-            raise error(f"{what} must be numbers, got a bool among them")
+            raise error(f"{what} must be numbers, not true or false")
     a = a.astype(complex)
     if not np.isfinite(a).all():
         raise error(f"non-finite value (NaN or Inf) in {what}")
     a.setflags(write=False)
     return a
+
+
+def _json_object(text, error: type) -> dict:
+    """The JSON object that text holds; `error` if text is not a string,
+    not JSON or not an object."""
+    try:
+        payload = json.loads(text)
+    except (TypeError, ValueError, RecursionError) as exc:  # also 4300-digit ints, deep nesting
+        raise error(f"invalid JSON: {exc}") from exc
+    return _kind(payload, dict, "a JSON object", error)

@@ -18,7 +18,11 @@ and a constructor's num_sites pass errors._integer: an int or numpy
 integer, never a bool or a float, kept as a Python int.  Amplitudes,
 matrix entries, local unitaries, Schmidt weights and the raw matrices of
 purity and hermitian_eigenvalues pass errors._complex_array: finite
-numbers, kept as a read-only complex copy.
+numbers, kept as a read-only complex copy.  A state file is the JSON
+object that errors._json_object parses; _STATE_FILES maps its kind to the
+key of its entries and the class they build.  Its [re, im] pairs pass
+errors._complex_array as one array, which refuses JSON true and false as
+it does bools given to a constructor, and the class checks the state.
 
 Functions of a pure state take it through the private gate _pure, and
 functions of a density matrix through _density, which builds
@@ -39,7 +43,7 @@ memo twice writes the same values, so it needs no lock.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -52,9 +56,11 @@ from .errors import (
     NotHermitian,
     NotUnitary,
     OutOfDomain,
+    QentError,
     ZeroVector,
     _complex_array,
     _integer,
+    _json_object,
     _kind,
     brief,
 )
@@ -114,7 +120,8 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         n = _check_qubit_shape("amplitude vector", amps.shape, 1, self.num_sites)
         object.__setattr__(self, "num_sites", n)
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # squares past the float range read inf, refused below
+            norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise InputError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
@@ -137,11 +144,12 @@ class DensityMatrix:
         object.__setattr__(self, "entries", m)
         n = _check_qubit_shape("matrix", m.shape, 2, self.num_sites)
         object.__setattr__(self, "num_sites", n)
-        herm = float(np.max(np.abs(m - m.conj().T)))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past the float range
+            herm = float(np.max(np.abs(m - m.conj().T)))
+            tr = complex(np.trace(m))
         if herm > HERMITICITY_TOL:
             raise NotHermitian(f"Hermiticity residual {herm:.3e} exceeds {HERMITICITY_TOL}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > NORM_TOL:
+        if not abs(tr - 1.0) <= NORM_TOL:
             raise InputError(f"trace {tr} not 1 within {NORM_TOL}")
         spectrum = np.linalg.eigvalsh(m)
         low = float(spectrum[0])
@@ -398,43 +406,29 @@ def apply_local_unitary(psi: PureState, site: int, u: np.ndarray) -> PureState:
     return PureState(t.reshape(-1), n)
 
 
+# the state file format: kind -> (key of the entries, class); each entry
+# is an [re, im] pair, and the class's first field holds the entries
+_STATE_FILES = {"pure": ("amplitudes", PureState), "density": ("matrix", DensityMatrix)}
+
+
 def state_to_json(state: Union[PureState, DensityMatrix]) -> str:
     """Serialize a state to the interchange JSON format."""
-    if isinstance(state, PureState):
-        payload = {
-            "kind": "pure",
-            "num_sites": state.num_sites,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-        }
-    elif isinstance(state, DensityMatrix):
-        payload = {
-            "kind": "density",
-            "num_sites": state.num_sites,
-            "matrix": [
-                [[float(e.real), float(e.imag)] for e in row] for row in state.entries
-            ],
-        }
-    else:
-        raise InputError(f"cannot serialize {type(state).__name__}")
-    return json.dumps(payload)
-
-
-def _holds_bool(value) -> bool:
-    """True if value, or any item of its nested lists, is a bool."""
-    if isinstance(value, list):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, bool)
+    for kind, (key, cls) in _STATE_FILES.items():
+        if isinstance(state, cls):
+            values = getattr(state, fields(cls)[0].name)
+            pairs = np.stack((values.real, values.imag), -1).tolist()
+            return json.dumps({"kind": kind, "num_sites": state.num_sites, key: pairs})
+    raise InputError(f"cannot serialize {type(state).__name__}")
 
 
 def state_from_json(text: str) -> Union[PureState, DensityMatrix]:
     """Parse the interchange JSON format, rejecting out-of-tolerance input."""
-    try:
-        payload = json.loads(text)
-    except (TypeError, ValueError) as exc:  # not text, bad JSON, or an int of over 4300 digits
-        raise InputError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "kind" not in payload:
-        raise InputError("state JSON must be an object with a 'kind' field")
+    payload = _json_object(text, InputError)
     kind = payload.get("kind")
+    if not (isinstance(kind, str) and kind in _STATE_FILES):
+        raise InputError(f"state 'kind' must be one of {', '.join(_STATE_FILES)}, "
+                         f"got {brief(kind)}")
+    key, cls = _STATE_FILES[kind]
     n = payload.get("num_sites")
     try:  # 3, 3.0 and "3" are 3; 3.7, "3.0" and true are refused
         if isinstance(n, bool) or not float(n).is_integer():
@@ -442,22 +436,17 @@ def state_from_json(text: str) -> Union[PureState, DensityMatrix]:
         n = int(n)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError("missing or non-integer 'num_sites'") from exc
-    # JSON true and false would pass complex() as 1 and 0; the walk is paid
-    # only by files that hold such a token
-    entries = payload.get("amplitudes" if kind == "pure" else "matrix")
-    if ("true" in text or "false" in text) and _holds_bool(entries):
-        raise InputError("state entries must be numbers, not true or false")
+    pairs = _complex_array(payload.get(key), key, InputError)
+    if pairs.shape[-1:] != (2,):
+        raise InputError(f"{key} must be [re, im] pairs, got shape {brief(pairs.shape)}")
+    entries = np.empty(pairs.shape[:-1], complex)
+    entries.real, entries.imag = pairs[..., 0].real, pairs[..., 1].real
     try:
-        if kind == "pure":
-            return PureState([complex(re, im) for re, im in payload["amplitudes"]], n)
-        if kind == "density":
-            m = [[complex(re, im) for re, im in row] for row in payload["matrix"]]
-            return DensityMatrix(m, n)
+        return cls(entries, n)
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except QentError as exc:
         raise InputError(f"malformed state payload: {exc}") from exc
-    raise InputError(f"unknown state kind {kind!r}")
 
 
 def load_state(path) -> Union[PureState, DensityMatrix]:

@@ -43,7 +43,6 @@ import copy
 import csv
 import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -51,8 +50,8 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import (ConfigError, IncompatibleInput, InputError, _complex_array, _integer, _kind,
-                     _real, brief)
+from .errors import (ConfigError, IncompatibleInput, InputError, _complex_array, _integer,
+                     _json_object, _kind, _real, brief)
 from .families import (
     FAMILY_LABELS,
     FAMILY_PARAM_COUNTS,
@@ -80,6 +79,7 @@ from .invariants import (
 from .measures import (
     _pair_tangle,
     kme_concurrence_stack,
+    linear_entropy_pure,
     quadratic_mean,
     three_tangle,
     transposed_profile,
@@ -92,8 +92,6 @@ from .qstate import (
     clamped_sqrt,
     hermitian_eigenvalues,
     partial_transpose_sites,
-    purity,
-    reduced_density_pure,
     schmidt_weights,
 )
 
@@ -402,7 +400,9 @@ def _check_r9(payload):
     rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
     ev = hermitian_eigenvalues(partial_transpose_sites(rho, side, psi.num_sites))
     lhs = float(np.abs(ev).sum() - 1.0)
-    rhs = clamped_sqrt(2.0 * (1.0 - purity(reduced_density_pure(psi, side))))
+    # S_L from the Schmidt weights: 1 - Tr rho^2 would lose half its digits
+    # to the square root on a near-product cut
+    rhs = clamped_sqrt(2.0 * linear_entropy_pure(psi, side))
     return [("", lhs, rhs, {"note": f"schmidt rank {rank}"})]
 
 
@@ -614,6 +614,8 @@ def _admit(rel: RelationId, payload) -> tuple:
             side = tuple(_integer(s, "R9 site", 0, n - 1, IncompatibleInput) for s in payload[1])
         except TypeError as exc:
             raise IncompatibleInput("R9 side_a must be a list of site indices") from exc
+        if len(set(side)) == n:
+            raise IncompatibleInput("R9 side_a must leave a site on the other side of the cut")
         return (payload[0], side), rel.value
     # R1 takes a pure state of up to SUITE_MAX_SITES qubits, R4 and R5 one of 3, R6 one of 4
     n = _pure(payload).num_sites
@@ -744,11 +746,8 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SuiteConfig":
-        try:
-            payload = json.loads(text)
-        except (TypeError, ValueError) as exc:  # not text, bad JSON, or an int of over 4300 digits
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-        if bad := set(_kind(payload, dict, "a JSON object", ConfigError)) - {"seed", "relations"}:
+        payload = _json_object(text, ConfigError)
+        if bad := set(payload) - {"seed", "relations"}:
             raise ConfigError(f"unknown top-level keys {sorted(bad)}")
         return cls(**payload)
 

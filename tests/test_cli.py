@@ -524,6 +524,14 @@ class TestOutsideValuesExit2:
         assert main(["measure", "--state", str(state), "--measures", "negativity"]) == 2
         assert "true or false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["measure", "--state"], ["verify", "--suite"]])
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, capsys, command):
+        """json.loads raises RecursionError on such a file; it exits 2."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main([*command, str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("a", ["1e150", "1e300+1e300j", "nan", "inf"])
     def test_family_parameter_out_of_range(self, capsys, a):
         assert main(["family", "--family", "6", "--a", a]) == 2

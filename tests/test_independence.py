@@ -51,7 +51,7 @@ SIDES = {
     ("R8", "pair (#,#)"): ({"w_two_tangle"}, {"_pair_tangle"}),
     ("R9", ""): (
         {"partial_transpose_sites", "hermitian_eigenvalues"},
-        {"reduced_density_pure", "purity", "clamped_sqrt"},
+        {"linear_entropy_pure", "clamped_sqrt"},
     ),
 }
 BINDINGS = sorted(set().union(*(lhs | rhs for lhs, rhs in SIDES.values())))

@@ -12,6 +12,9 @@ Rows whose one side takes a square root of a difference of numbers near
 1 lose about eight digits there: a rounding error of about 2e-16 becomes
 about 2e-8, above the 1e-9 tolerance.  Those rows are strict xfails
 until their comparison is mended, so the markers must go with the mend.
+
+R9 is checked apart, on states of Schmidt rank 2 whose smaller weight
+lambda is log-uniform in [1e-18, 1e-1].
 """
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ STATES = 200
 SEED = 2026
 # qubit count -> the relations checked on each of its states
 RELATIONS = {3: ("R1", "R4", "R5"), 4: ("R1", "R6")}
+# R9 cuts (sites on side A, sites on side B)
+R9_CUTS = ((1, 3), (2, 2), (3, 3))
 
 # (relation, row descriptor) -> whether the row passes on every state
 ROWS = {
@@ -80,5 +85,43 @@ def test_rows_are_the_listed_ones(margins):
 def test_row_passes_near_product(margins, row):
     failed, worst = margins[row]
     line = f"{row[0]} {row[1]}: {failed} of {STATES} failed, worst residual {worst:.3g} x tol"
+    print(line)
+    assert failed == 0, line
+
+
+def rank2_states(na: int, nb: int, count: int, seed: int):
+    """States of Schmidt rank 2 across the cut of the first na sites from
+    the last nb: sqrt(1 - lambda) a0 b0 + sqrt(lambda) a1 b1 for random
+    orthonormal pairs a and b, lambda log-uniform in [1e-18, 1e-1]."""
+    rng = np.random.default_rng([seed, na, nb])
+    for _ in range(count):
+        a, b = (np.linalg.qr(rng.normal(size=(2**m, 2)) + 1j * rng.normal(size=(2**m, 2)))[0]
+                for m in (na, nb))
+        lam = 10.0 ** rng.uniform(-18, -1)
+        v = np.sqrt(1 - lam) * np.kron(a[:, 0], b[:, 0]) + np.sqrt(lam) * np.kron(a[:, 1], b[:, 1])
+        yield PureState(v / np.linalg.norm(v), na + nb)
+
+
+@pytest.mark.parametrize("na,nb", R9_CUTS, ids=[f"{na}|{nb}" for na, nb in R9_CUTS])
+def test_r9_passes_near_product(na, nb):
+    """R9 passes at its own tolerance, 1e-9, however small lambda is.
+
+    With u = 2^-53: the lhs, sum |ev| - 1 over the 2^n eigenvalues of the
+    partial transpose, whose moduli are at most 1, errs by at most about
+    2^n u.  The rhs is sqrt(2 S_L) with S_L = 1 - Tr rho_A^2 from
+    linear_entropy_pure: below GRAM_FLOOR it takes S_L = 2 lambda_1
+    lambda_2 from the squared singular values sigma_i of the amplitude
+    matrix, each to an absolute error of order u, so the rhs 2 sigma_1
+    sigma_2 errs by order u too, for any lambda.  Both are far below
+    1e-9.  Taking S_L as 1 - Tr rho_A^2 instead loses the order-u
+    rounding of a difference of numbers near 1 in the square root: an
+    error of order sqrt(u), about 1e-8, at lambda of 1e-14 and below.
+    """
+    failed, worst = 0, 0.0
+    for psi in rank2_states(na, nb, STATES, SEED):
+        (row,) = check("R9", (psi, tuple(range(na))))
+        failed += row.verdict == "fail"
+        worst = max(worst, row.residual / row.tolerance)
+    line = f"R9 cut {na}|{nb}: {failed} of {STATES} failed, worst residual {worst:.3g} x tol"
     print(line)
     assert failed == 0, line

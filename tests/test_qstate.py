@@ -1,3 +1,7 @@
+import ast
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from oracles import partial_trace_brute, random_state_vector
@@ -26,7 +30,7 @@ from qent import (
     state_to_json,
     w,
 )
-from qent import IncompatibleInput, negativity
+from qent import IncompatibleInput, negativity, qstate
 from qent.qstate import density_factor, schmidt_weights, sites_tuple
 
 BELL = make_pure([1, 0, 0, 1], 2)
@@ -320,6 +324,103 @@ class TestStateJson:
     def test_true_in_a_string_is_no_boolean(self):
         text = '{"kind": "pure", "num_sites": 1, "amplitudes": [[1, 0], [0, 0]], "note": "true"}'
         assert np.array_equal(state_from_json(text).amplitudes, [1, 0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_text_and_entries_follow_the_per_entry_formula(self, seed):
+        """state_to_json writes json.dumps of [[float(re), float(im)], ...]
+        and state_from_json reads complex(re, im) of each pair, bit for bit,
+        signed zeros included."""
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 3
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        v[1:][rng.random(2**n - 1) < 0.3] = 0
+        v.imag[-1] = 0
+        w = rng.normal(size=(2**n, 2)) + 1j * rng.normal(size=(2**n, 2)) * (seed % 2)
+        w[1:][rng.random(2**n - 1) < 0.3] = 0
+        m = w @ w.conj().T
+        m[np.diag_indices(2**n)] = m.diagonal().real
+        states = [PureState(_signed_zeros(v / np.linalg.norm(v)), n),
+                  DensityMatrix(_signed_zeros(m / np.trace(m).real), n)]
+        for state, kind, key in zip(states, ("pure", "density"), ("amplitudes", "matrix")):
+            values = state.amplitudes if kind == "pure" else state.entries
+            assert np.signbit(values.imag[values.imag == 0]).any()
+            pairs = [[float(a.real), float(a.imag)] for a in values.ravel()]
+            if kind == "density":
+                pairs = [pairs[i:i + 2**n] for i in range(0, 4**n, 2**n)]
+            text = json.dumps({"kind": kind, "num_sites": n, key: pairs})
+            assert state_to_json(state) == text
+            read = state_from_json(text)
+            got = read.amplitudes if kind == "pure" else read.entries
+            want = np.array([complex(re, im) for re, im in np.reshape(pairs, (-1, 2)).tolist()])
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entries", [
+        [[1e308, 0], [1e308, 0]],
+        [[[0, 0], [1e308, 0]], [[-1e308, 0], [1, 0]]],
+        [[[1.7e308, 0], [0, 0]], [[0, 0], [1.7e308, 0]]],
+        [[[1e308 * (-1) ** (i // 2) if i == j else 0, 0] for j in range(4)] for i in range(4)],
+    ], ids=["norm", "hermiticity", "trace", "trace-nan"])
+    def test_entries_past_the_float_range_are_refused_without_a_warning(self, entries):
+        """Squares, differences and sums of such entries overflow; the
+        state is refused with InputError and numpy warns of nothing."""
+        kind, key = ("pure", "amplitudes") if np.ndim(entries) == 2 else ("density", "matrix")
+        n = int(np.log2(len(entries)))
+        with pytest.raises(InputError):
+            state_from_json(json.dumps({"kind": kind, "num_sites": n, key: entries}))
+
+
+def _signed_zeros(a: np.ndarray) -> np.ndarray:
+    """a with its zero real and imaginary parts signed -0.0, 0.0, -0.0, ...
+    in turn."""
+    a = a.copy()
+    for part in (a.real, a.imag):
+        zero = part == 0
+        part[zero] = np.where(np.arange(zero.sum()) % 2, 0.0, -0.0)
+    return a
+
+
+def _entry_walks(source: str) -> list[tuple[str, int]]:
+    """(what, line) of each name bool and each call of complex that runs
+    per entry in source, inside a loop, a comprehension or a function that
+    calls itself, and of each "true" or "false" string constant."""
+    tree = ast.parse(source)
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    scopes = [node for node in ast.walk(tree) if isinstance(node, loops)]
+    scopes += [func for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               and func.name in {call.func.id for call in ast.walk(func)
+                                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}]
+    found = {(node.value, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in ("true", "false")}
+    for node in (sub for scope in scopes for sub in ast.walk(scope)):
+        if isinstance(node, ast.Name) and node.id == "bool":
+            found.add(("bool", node.lineno))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "complex":
+            found.add(("complex", node.lineno))
+    return sorted(found)
+
+
+def test_state_file_entries_pass_one_check():
+    """qstate checks the entries of a state file only through
+    errors._complex_array: it walks no entry for a bool, scans no text for
+    true or false and calls complex() on no entry."""
+    source = Path(qstate.__file__).read_text(encoding="utf-8")
+    assert _entry_walks(source) == []
+    door = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef) and node.name == "state_from_json")
+    assert "_complex_array" in {node.func.id for node in ast.walk(door)
+                                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+@pytest.mark.parametrize("snippet,found", [
+    ("def walk(v):\n    if isinstance(v, list):\n        return any(walk(x) for x in v)\n"
+     "    return isinstance(v, bool)", [("bool", 4)]),
+    ("for row in rows:\n    ok = isinstance(row, bool)", [("bool", 2)]),
+    ("m = [[complex(re, im) for re, im in row] for row in rows]", [("complex", 1)]),
+    ("if 'true' in text or 'false' in text:\n    pass", [("false", 1), ("true", 1)]),
+    ("ok = isinstance(n, bool) or complex(n)", []),
+])
+def test_entry_walk_finder(snippet, found):
+    assert _entry_walks(snippet) == found
 
 
 class TestRefusals:

@@ -51,10 +51,10 @@ from test_integers import SOURCES, _name
 # `qent verify --default --seed 7 --csv`, per OpenBLAS core: the cores
 # round some values differently (each measured with OPENBLAS_CORETYPE)
 SEED7_CSV_SHA256 = {
-    "SkylakeX": "cc322fa2bededfaa41531397d225239af6349a156d13628681e92cf0bc44bd66",
-    "Haswell": "c73d3bac153c168ed471eb0ce3bf37f5b1b4fe283fd9026fdc3a816d053fa3f6",
-    "Sandybridge": "5fa13bb971ab076065b4d259f1ed3c60bbff25670d82cf46c37d6d6fb7d93cc2",
-    "Nehalem": "6363e1c28f6acf771b13632909e8294d6c0cef0aab33a2897c433cf9dda1e411",
+    "SkylakeX": "a51c36ee4d4160b022b4c5a4145fd18f6b6986c684b0ce9940b0d7b485cd16fb",
+    "Haswell": "5f66b3f67ddd22ab2e8edcb5e1b1e104f564727e0bf703cfa394f08630e01366",
+    "Sandybridge": "f58268640c0362a8cd3c639754c9afd2477166acb9d09316bdde5a3613a8dab7",
+    "Nehalem": "4c6a3ac82f92a2b69688118944f465a3a65981a9fb3116a8968d64ad39b66eaa",
 }
 # the /proc/cpuinfo flag each pinned core's kernels need
 CORE_CPU_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx",
@@ -689,6 +689,13 @@ class TestCheckRefusesWithQentError:
         with pytest.raises(error) as info:
             check(relation, payload)
         assert len(str(info.value)) < 100
+
+    @pytest.mark.parametrize("side", [(0, 1), (1, 0), (0, 1, 1)])
+    def test_r9_side_of_every_site(self, side):
+        """A cut needs a site on each side; linear_entropy_pure would refuse
+        such a side with IndexOutOfRange."""
+        with pytest.raises(IncompatibleInput, match="other side of the cut"):
+            check("R9", (make_pure([1, 0, 0, 1], 2), side))
 
     @pytest.mark.parametrize("tol", ["1e-3", 1e-3j, [1e-3]])
     def test_tol_that_is_not_a_number(self, tol):
